@@ -178,14 +178,19 @@ class Grid2D:
 
     def face_slice(self, values: np.ndarray, face: Face) -> np.ndarray:
         """View of the face row/column of a (nx, ny) array."""
+        return values[self.inward_lines(face)[0]]
+
+    def inward_lines(self, face: Face):
+        """Index tuples of the face row/column and of the next two lines
+        inward (the third None when only two lines cross the face), with
+        the spacing across the face."""
         self.require_active(face)
-        if face is Face.BOTTOM:
-            return values[:, 0]
-        if face is Face.TOP:
-            return values[:, -1]
-        if face is Face.LEFT:
-            return values[0, :]
-        return values[-1, :]
+        if face.axis == 0:
+            n, h, line = self.ny, self.hy, lambda k: (slice(None), k)
+        else:
+            n, h, line = self.nx, self.hx, lambda k: (k, slice(None))
+        ks = (0, 1, 2) if face in (Face.BOTTOM, Face.LEFT) else (-1, -2, -3)
+        return line(ks[0]), line(ks[1]), (line(ks[2]) if n > 2 else None), h
 
     def face_weights(self, face: Face) -> np.ndarray:
         """Trapezoidal arclength weights along the face (end nodes h/2).
@@ -373,30 +378,22 @@ def tangential_derivative(f: ScalarField2D, face: Face) -> np.ndarray:
     return _line_derivative(trace, h)
 
 
-def normal_derivative(f: ScalarField2D, face: Face) -> np.ndarray:
-    """Outward normal derivative on a face via the 3-point one-sided
-    stencil (2-point fallback on minimal grids)."""
-    g = f.grid
-    g.require_active(face)
-    v = f.values
-    # f0 on the face, f1 and f2 ordered inward; the one-sided stencil then
-    # yields the inward derivative and the outward one is its negation.
-    if face is Face.LEFT:
-        n, h = g.nx, g.hx
-        f0, f1, f2 = v[0, :], v[1, :], (v[2, :] if n > 2 else None)
-    elif face is Face.RIGHT:
-        n, h = g.nx, g.hx
-        f0, f1, f2 = v[-1, :], v[-2, :], (v[-3, :] if n > 2 else None)
-    elif face is Face.BOTTOM:
-        n, h = g.ny, g.hy
-        f0, f1, f2 = v[:, 0], v[:, 1], (v[:, 2] if n > 2 else None)
-    else:
-        n, h = g.ny, g.hy
-        f0, f1, f2 = v[:, -1], v[:, -2], (v[:, -3] if n > 2 else None)
+def inward_slope(f0, f1, f2, h: float):
+    """Inward first derivative at a face from the face line ``f0`` and the
+    next lines ``f1``, ``f2`` inward: the 3-point one-sided stencil, or
+    the 2-point difference when ``f2`` is None (minimal grids).  The one
+    home of this stencil: the solver's dynamic faces and every diagnostic
+    normal derivative call it."""
     if f2 is None:
-        inward = (f1 - f0) / h
-    else:
-        inward = (4.0 * (f1 - f0) - (f2 - f0)) / (2 * h)
+        return (f1 - f0) / h
+    return (4.0 * (f1 - f0) - (f2 - f0)) / (2 * h)
+
+
+def normal_derivative(f: ScalarField2D, face: Face) -> np.ndarray:
+    """Outward normal derivative on a face: the negated `inward_slope`."""
+    i0, i1, i2, h = f.grid.inward_lines(face)
+    v = f.values
+    inward = inward_slope(v[i0], v[i1], None if i2 is None else v[i2], h)
     return np.atleast_1d(-inward)
 
 

@@ -32,7 +32,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="config file path")
         sp.add_argument("--out", default=None, help="output directory override")
-        sp.add_argument("--threads", type=int, default=1)
+        if name.startswith("sweep-"):
+            # only the sweeps fan out over worker processes
+            sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--dump-fields", action="store_true")
         sp.add_argument("--quiet", action="store_true")
     rp = sub.add_parser("report")

@@ -4,7 +4,7 @@ Sections: [grid] extents and node counts, [physics] eps / per-face laws /
 sigma, [initial] interface descriptor, [schedule] t_end / cadence /
 safety / optional dt, [experiment] mode and sweep lists, [output]
 directory and dump flags.  Validation collects every violation (with its
-key path) before failing.  No code is ever embedded in a config; test
+key path) before failing; float values must be finite.  No code is ever embedded in a config; test
 fields are referenced by catalog name plus parameters.
 """
 
@@ -132,10 +132,16 @@ def parse_config_text(text: str) -> RunConfig:
             return default
         raw = cp.get(section, key)
         try:
-            return conv(raw)
+            val = conv(raw)
         except (ValueError, TypeError):
             problems.append(f"{section}.{key} unreadable value {raw!r}")
             return None
+        # nan and +-inf parse as floats, but no key has a use for them
+        vals = val if isinstance(val, tuple) else (val,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
+            problems.append(f"{section}.{key} non-finite value {raw!r}")
+            return None
+        return val
 
     x_min = need("grid", "x_min", float)
     x_max = need("grid", "x_max", float)

@@ -72,7 +72,7 @@ def write_run_outputs(
         lines = ["t,polyline,x,y"]
         for p, poly in enumerate(ext.polylines):
             for xp, yp in poly:
-                lines.append(f"{snap.t!r},{p},{xp!r},{yp!r}")
+                lines.append(f"{snap.t!r},{p},{float(xp)!r},{float(yp)!r}")
         (iface_dir / f"{k:04d}.csv").write_text("\n".join(lines) + "\n", "utf-8")
 
     dump = config.output.dump_fields if dump_fields is None else dump_fields

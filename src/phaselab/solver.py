@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, StabilityError, UsageError
-from .grid import Face, Grid2D, ScalarField2D
+from .grid import Face, Grid2D, ScalarField2D, inward_slope
 
 MAX_PRINCIPLE_SLACK = 1e-12
 ENERGY_RISE_SLACK = 1e-10
@@ -212,6 +212,25 @@ class _StepKernel:
     Updates land in two preallocated work buffers: `advance` writes into
     the one its input is not, so a result stays valid until the call
     after next.  A caller that keeps a result longer copies it.
+
+    The 2D interior allocates nothing per step.  It runs as ``out=``
+    ufuncs on contiguous 1D slices of the flattened C-order arrays: node
+    (i, j) sits at flat index k = i*ny + j, its x-neighbours at k +- ny
+    and its y-neighbours at k +- 1.  The flat range [ny + 1, nx*ny - ny - 1)
+    spans the core rows i = 1 .. nx-2, but it also takes in the j = 0 and
+    j = ny-1 nodes of those rows, whose y-neighbours wrap into the next or
+    previous row.  Those wrapped values are never kept: all four faces are
+    active in 2D, and the BOTTOM and TOP face laws, written after the
+    interior, overwrite every j = 0 and j = ny-1 node.  Each node keeps
+    the operations of the per-node formula in its order,
+
+        lap  = ((E - c) - (c - W))/hx^2 + ((N - c) - (c - S))/hy^2
+        W'   = (-2 c)(1 - c c)
+        unew = c + dt (lap - W'/eps^2)
+
+    with ``E - c`` and ``c - W`` (likewise ``N - c`` and ``c - S``) read
+    from one array of neighbour differences, and W' evaluated only where
+    it is read: on the core here, and on the zero-flux face lines.
     """
 
     def __init__(self, state: PhaseState):
@@ -243,6 +262,12 @@ class _StepKernel:
             self._cube = np.empty(g.nx - 2) if g.nx > 2 else None
             self._ends = [self._end_plan(f) for f, _ in self.face_plan]
             self._dt = None
+        else:
+            # flat interior range and its x / y neighbour-difference buffers
+            self._lo, self._hi = g.ny + 1, g.nx * g.ny - g.ny - 1
+            m = max(self._hi - self._lo, 0)
+            self._dx, self._dy = np.empty(m + g.ny), np.empty(m + 1)
+            self._faces = [self._face_plan_2d(f, law) for f, law in self.face_plan]
 
     def _end_plan(self, face: Face):
         """(node, first inward, second inward or None, law kind, sigma) of
@@ -253,65 +278,63 @@ class _StepKernel:
         sigma = law.sigma if isinstance(law, Dynamic) else None
         return i, j, (k if n > 2 else None), type(law), sigma
 
+    def _face_plan_2d(self, face: Face, law: BoundaryLaw):
+        """(law kind, face line, inward lines, normal spacing, sigma or the
+        zero-flux plan) of a 2D face, resolved once."""
+        g = self.grid
+        i0, i1, i2, h = g.inward_lines(face)
+        extra = law.sigma if isinstance(law, Dynamic) else None
+        if isinstance(law, NeumannZeroFlux):
+            # tangential spacing, whether the face at each end of the line
+            # mirrors across the shared corner, and line work buffers
+            along_x = face in (Face.BOTTOM, Face.TOP)
+            h_t2, n = (self.hx2, g.nx) if along_x else (self.hy2, g.ny)
+            ends = (Face.LEFT, Face.RIGHT) if along_x else (Face.BOTTOM, Face.TOP)
+            mirrored = tuple(isinstance(self.laws[f], NeumannZeroFlux) for f in ends)
+            extra = (h * h, h_t2, mirrored, np.empty((3, n)), np.zeros(n))
+        return type(law), i0, i1, i2, h, extra
+
     def _target(self, u: np.ndarray) -> np.ndarray:
         """The work buffer that `u` is not."""
         return self._bufs[1] if u is self._bufs[0] else self._bufs[0]
 
     # -- face pieces -----------------------------------------------------
 
-    def _normal_derivative(self, u: np.ndarray, face: Face) -> np.ndarray:
-        g = self.grid
-        if face is Face.LEFT:
-            n, h = g.nx, g.hx
-            f0, f1, f2 = u[0, :], u[1, :], (u[2, :] if g.nx > 2 else None)
-        elif face is Face.RIGHT:
-            n, h = g.nx, g.hx
-            f0, f1, f2 = u[-1, :], u[-2, :], (u[-3, :] if g.nx > 2 else None)
-        elif face is Face.BOTTOM:
-            n, h = g.ny, g.hy
-            f0, f1, f2 = u[:, 0], u[:, 1], (u[:, 2] if g.ny > 2 else None)
-        else:
-            n, h = g.ny, g.hy
-            f0, f1, f2 = u[:, -1], u[:, -2], (u[:, -3] if g.ny > 2 else None)
-        if f2 is None:
-            return -((f1 - f0) / h)
-        return -((4.0 * (f1 - f0) - (f2 - f0)) / (2 * h))
-
-    def _neumann_face(self, u, wprime, face: Face, dt: float) -> np.ndarray:
+    def _neumann_face(self, fv, inner, plan, dt: float, out) -> None:
         """Zero-flux face: mirrored normal second difference plus the
-        tangential second derivative along the face."""
-        g = self.grid
-        if face in (Face.BOTTOM, Face.TOP):
-            j0, j1 = (0, 1) if face is Face.BOTTOM else (-1, -2)
-            fv, inner = u[:, j0], u[:, j1]
-            h_n2, h_t2, n_t = self.hy2, self.hx2, g.nx
-            adj_lo, adj_hi = Face.LEFT, Face.RIGHT
-            w_face = wprime[:, j0]
-        else:
-            i0, i1 = (0, 1) if face is Face.LEFT else (-1, -2)
-            fv, inner = u[i0, :], u[i1, :]
-            h_n2, h_t2, n_t = self.hx2, self.hy2, g.ny
-            adj_lo, adj_hi = Face.BOTTOM, Face.TOP
-            w_face = wprime[i0, :]
-
-        lap = 2.0 * (inner - fv) / h_n2
-        tang = np.zeros_like(fv)
-        if n_t >= 3:
-            tang[1:-1] = ((fv[2:] - fv[1:-1]) - (fv[1:-1] - fv[:-2])) / h_t2
-            for end, adj in ((0, adj_lo), (-1, adj_hi)):
-                ordered = fv if end == 0 else fv[::-1]
-                if isinstance(self.laws.get(adj), NeumannZeroFlux):
+        tangential second derivative along the face, into ``out``."""
+        h_n2, h_t2, mirrored, (lap, w, q), tang = plan
+        n = tang.size
+        np.subtract(inner, fv, out=lap)
+        np.multiply(lap, 2.0, out=lap)
+        np.divide(lap, h_n2, out=lap)
+        if n >= 3:
+            # tang stays zero on lines of two nodes; q holds the differences
+            diff = q[:-1]
+            np.subtract(fv[1:], fv[:-1], out=diff)
+            np.subtract(diff[1:], diff[:-1], out=tang[1:-1])
+            np.divide(tang[1:-1], h_t2, out=tang[1:-1])
+            for end, inward, mirror in ((0, 1, mirrored[0]), (-1, -1, mirrored[1])):
+                # the line read from this end inward, as Python floats
+                o0, o1, o2 = (fv.item(end + k * inward) for k in range(3))
+                if mirror:
                     # the adjacent face mirrors across the corner
-                    tang[end] = 2.0 * (ordered[1] - ordered[0]) / h_t2
-                elif n_t >= 4:
-                    tang[end] = _one_sided_second(
-                        ordered[0], ordered[1], ordered[2], ordered[3], h_t2
-                    )
+                    tang[end] = 2.0 * (o1 - o0) / h_t2
+                elif n >= 4:
+                    o3 = fv.item(end + 3 * inward)
+                    tang[end] = _one_sided_second(o0, o1, o2, o3, h_t2)
                 else:
-                    tang[end] = (
-                        (ordered[2] - ordered[1]) - (ordered[1] - ordered[0])
-                    ) / h_t2
-        return fv + dt * (lap + tang - self.inv_eps2 * w_face)
+                    tang[end] = ((o2 - o1) - (o1 - o0)) / h_t2
+        # fv + dt*((lap + tang) - W'(fv)/eps^2), W' = (-2 fv)(1 - fv fv)
+        np.multiply(fv, fv, out=q)
+        np.subtract(1.0, q, out=q)
+        np.multiply(fv, -2.0, out=w)
+        np.multiply(w, q, out=w)
+        np.multiply(w, self.inv_eps2, out=w)
+        np.add(lap, tang, out=lap)
+        np.subtract(lap, w, out=lap)
+        np.multiply(lap, dt, out=lap)
+        np.add(fv, lap, out=out)
 
     # -- full update -------------------------------------------------------
 
@@ -361,35 +384,51 @@ class _StepKernel:
                 out[i] = c0
         return unew
 
+    def _advance_2d(self, u: np.ndarray, dt: float) -> np.ndarray:
+        unew = self._target(u)
+        lo, hi = self._lo, self._hi
+        if hi > lo:
+            ny, m = self.grid.ny, hi - lo
+            uf = u.reshape(-1)
+            c = uf[lo:hi]
+            acc = unew.reshape(-1)[lo:hi]
+            dx, dy = self._dx, self._dy
+            # dx[s] = E - c at flat node lo - ny + s: (E - c) is dx[ny:],
+            # (c - W) is dx[:m]; dy likewise with the y-neighbours
+            np.subtract(uf[lo:hi + ny], uf[lo - ny:hi], out=dx)
+            np.subtract(dx[ny:], dx[:m], out=acc)
+            np.divide(acc, self.hx2, out=acc)
+            np.subtract(uf[lo:hi + 1], uf[lo - 1:hi], out=dy)
+            tmp, wprime = dx[:m], dy[:m]
+            np.subtract(dy[1:], wprime, out=tmp)
+            np.divide(tmp, self.hy2, out=tmp)
+            np.add(acc, tmp, out=acc)
+            np.multiply(c, c, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            np.multiply(c, -2.0, out=wprime)
+            np.multiply(wprime, tmp, out=wprime)
+            np.multiply(wprime, self.inv_eps2, out=wprime)
+            np.subtract(acc, wprime, out=acc)
+            np.multiply(acc, dt, out=acc)
+            np.add(c, acc, out=acc)
+
+        for kind, i0, i1, i2, h, extra in self._faces:
+            out = unew[i0]
+            if kind is DirichletFrozen:
+                np.copyto(out, u[i0])
+            elif kind is Dynamic:
+                inward = inward_slope(
+                    u[i0], u[i1], None if i2 is None else u[i2], h
+                )
+                np.subtract(u[i0], (dt * extra) * -inward, out=out)
+            else:
+                self._neumann_face(u[i0], u[i1], extra, dt, out)
+        return unew
+
     def advance(self, u: np.ndarray, dt: float) -> np.ndarray:
         if self.is_1d:
             return self._advance_1d(u, dt)
-        inv_eps2 = self.inv_eps2
-        unew = self._target(u)
-        wprime = double_well_prime(u)
-        core = u[1:-1, 1:-1]
-        lap = ((u[2:, 1:-1] - core) - (core - u[:-2, 1:-1])) / self.hx2 + (
-            (u[1:-1, 2:] - core) - (core - u[1:-1, :-2])
-        ) / self.hy2
-        unew[1:-1, 1:-1] = core + dt * (lap - inv_eps2 * wprime[1:-1, 1:-1])
-
-        for face, law in self.face_plan:
-            trace = self.grid.face_slice(u, face)
-            if isinstance(law, DirichletFrozen):
-                vals = trace.copy()
-            elif isinstance(law, Dynamic):
-                vals = trace - (dt * law.sigma) * self._normal_derivative(u, face)
-            else:
-                vals = self._neumann_face(u, wprime, face, dt)
-            if face is Face.BOTTOM:
-                unew[:, 0] = vals
-            elif face is Face.TOP:
-                unew[:, -1] = vals
-            elif face is Face.LEFT:
-                unew[0, :] = vals
-            else:
-                unew[-1, :] = vals
-        return unew
+        return self._advance_2d(u, dt)
 
     def check(self, unew: np.ndarray, init_bounded: bool, t: float) -> None:
         """One reduction of |unew|: argmax lands on the first NaN if there

@@ -151,6 +151,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError):
             parse_config("/nonexistent/path.ini")
 
+    @pytest.mark.parametrize(
+        "old, new, path, raw",
+        [
+            ("t_end = 0.0002", "t_end = nan", "schedule.t_end", "nan"),
+            ("t_end = 0.0002", "t_end = inf", "schedule.t_end", "inf"),
+            ("t_end = 0.0002", "t_end = 0.0002\ndt = nan", "schedule.dt", "nan"),
+            ("eps = 0.05", "eps = nan", "physics.eps", "nan"),
+            ("eps = 0.05", "eps = 0.05\nsigma = inf", "physics.sigma", "inf"),
+            ("x_max = 1.0", "x_max = -inf", "grid.x_max", "-inf"),
+            (
+                "[output]",
+                "[experiment]\nmode = sweep-sigma\nsigma_list = 0.5, nan\n\n[output]",
+                "experiment.sigma_list",
+                "0.5, nan",
+            ),
+        ],
+    )
+    def test_non_finite_rejected_with_path(self, tmp_path, old, new, path, raw):
+        text = MINIMAL_1D.format(out=tmp_path)
+        assert old in text
+        with pytest.raises(ConfigurationError) as err:
+            parse_config_text(text.replace(old, new))
+        assert f"{path} non-finite value {raw!r}" in str(err.value)
+
 
 class TestCatalog:
     def test_vector_specs(self):
@@ -240,6 +264,23 @@ class TestRunOutputs:
         assert (out / "report.json").exists()
         assert sorted(p.name for p in (out / "interface").iterdir())
 
+    def test_interface_csv_fields_are_plain_floats(self, tmp_path):
+        cfg = parse_config_text(ARC_2D.format(out=tmp_path))
+        rec = experiments.run_single(cfg)
+        out = experiments.write_run_outputs(cfg, rec, tmp_path)
+        files = sorted((out / "interface").iterdir())
+        assert len(files) == len(rec.snapshots)
+        for path, snap in zip(files, rec.snapshots):
+            lines = path.read_text("utf-8").splitlines()
+            assert lines[0] == "t,polyline,x,y"
+            rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+            expected = [
+                [snap.t, p, x, y]
+                for p, poly in enumerate(extract_interface(snap.state.u).polylines)
+                for x, y in poly
+            ]
+            assert rows and rows == expected
+
     def test_field_dump_round_trip(self, tmp_path):
         g = Grid2D.from_extents(0.0, 2.0, 0.0, 1.0, 9, 5)
         f = ScalarField2D.from_function(g, lambda x, y: x * y + 1.0)
@@ -305,6 +346,23 @@ class TestCli:
         bad = tmp_path / "bad.ini"
         bad.write_text(MINIMAL_1D.format(out=tmp_path).replace("0.05", "1.5"), "utf-8")
         assert cli.main(["run", "--config", str(bad), "--quiet"]) == 2
+
+    def test_non_finite_t_end_exit_2(self, tmp_path, capsys):
+        cfgf = tmp_path / "nan.ini"
+        text = MINIMAL_1D.format(out=tmp_path / "o")
+        cfgf.write_text(text.replace("t_end = 0.0002", "t_end = nan"), "utf-8")
+        assert cli.main(["run", "--config", str(cfgf), "--quiet"]) == 2
+        assert "schedule.t_end non-finite value 'nan'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_threads_only_on_sweeps(self):
+        parser = cli._build_parser()
+        for sweep in ("sweep-eps", "sweep-sigma"):
+            args = parser.parse_args([sweep, "--config", "c.ini", "--threads", "2"])
+            assert args.threads == 2
+        for command in ("run", "arc-benchmark", "oracle"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--config", "c.ini", "--threads", "2"])
 
     def test_missing_config_exit_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.ini"), "--quiet"]) == 2

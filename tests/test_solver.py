@@ -1,8 +1,12 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from phaselab.errors import ConfigurationError, DivergenceError, StabilityError
-from phaselab.grid import Face, Grid2D, ScalarField2D
+from phaselab import solver
+from phaselab.grid import FACE_PRECEDENCE, Face, Grid2D, ScalarField2D
 from phaselab.solver import (
     CircleArc,
     DirichletFrozen,
@@ -396,3 +400,205 @@ class TestDivergenceCheck1D:
             match=r"maximum principle violated: max\|u\| = 1\.1\d+ at t=0\.25",
         ):
             step(st, stable_dt(st))
+
+
+# -- the 2D kernel --------------------------------------------------------
+
+LAWS_2D = {
+    "dynamic": lambda: Dynamic(0.7),
+    "dirichlet": DirichletFrozen,
+    "neumann": NeumannZeroFlux,
+}
+# laws listed for (BOTTOM, RIGHT, TOP, LEFT); the three rotations put each
+# law on each face, the uniform mixes give every corner one law on both
+# sides
+MIXES_2D = [
+    ("dynamic", "dirichlet", "neumann", "dynamic"),
+    ("dirichlet", "neumann", "dynamic", "dirichlet"),
+    ("neumann", "dynamic", "dirichlet", "neumann"),
+    ("neumann",) * 4,
+    ("dynamic",) * 4,
+]
+ALL_MIXES_2D = list(itertools.product(sorted(LAWS_2D), repeat=4))
+
+
+def laws_2d(mix):
+    return {f: LAWS_2D[name]() for f, name in zip(FACE_PRECEDENCE, mix)}
+
+
+def grid_2d(nx, ny):
+    return Grid2D.from_extents(0.0, 1.0, 0.0, 0.6, nx, ny)
+
+
+def smooth_state_2d(mix, nx=9, ny=7, sign=1.0):
+    g = grid_2d(nx, ny)
+    u = ScalarField2D.from_function(
+        g, lambda x, y: sign * np.tanh((x - 0.45 + 0.5 * (y - 0.3)) / 0.3)
+    )
+    return PhaseState(u, 0.0, 0.15, laws_2d(mix))
+
+
+def _ref_inward_lines(u, face):
+    """Face line and the next two lines inward (None past the grid)."""
+    n = u.shape[1] if face in (Face.BOTTOM, Face.TOP) else u.shape[0]
+    ks = (0, 1, 2) if face in (Face.BOTTOM, Face.LEFT) else (-1, -2, -3)
+    pick = (lambda k: u[:, k]) if face in (Face.BOTTOM, Face.TOP) else (lambda k: u[k, :])
+    return pick(ks[0]), pick(ks[1]), (pick(ks[2]) if n > 2 else None)
+
+
+def reference_advance_2d(st, u, dt):
+    """The allocating 2D update, operation for operation: 5-point interior
+    Laplacian minus W'(u)/eps^2, then the faces in the order LEFT, TOP,
+    RIGHT, BOTTOM, the later face writing the shared corner."""
+    g = st.grid
+    hx2, hy2 = g.hx * g.hx, g.hy * g.hy
+    inv_eps2 = 1.0 / (st.eps * st.eps)
+    unew = np.empty_like(u)
+    wprime = double_well_prime(u)
+    core = u[1:-1, 1:-1]
+    lap = ((u[2:, 1:-1] - core) - (core - u[:-2, 1:-1])) / hx2 + (
+        (u[1:-1, 2:] - core) - (core - u[1:-1, :-2])
+    ) / hy2
+    unew[1:-1, 1:-1] = core + dt * (lap - inv_eps2 * wprime[1:-1, 1:-1])
+    for face in (Face.LEFT, Face.TOP, Face.RIGHT, Face.BOTTOM):
+        law = st.laws[face]
+        f0, f1, f2 = _ref_inward_lines(u, face)
+        along_x = face in (Face.BOTTOM, Face.TOP)
+        h = g.hy if along_x else g.hx
+        if isinstance(law, DirichletFrozen):
+            vals = f0.copy()
+        elif isinstance(law, Dynamic):
+            if f2 is None:
+                dnu = -((f1 - f0) / h)
+            else:
+                dnu = -((4.0 * (f1 - f0) - (f2 - f0)) / (2 * h))
+            vals = f0 - (dt * law.sigma) * dnu
+        else:
+            h_n2, h_t2 = (hy2, hx2) if along_x else (hx2, hy2)
+            adj = (Face.LEFT, Face.RIGHT) if along_x else (Face.BOTTOM, Face.TOP)
+            n_t = len(f0)
+            tang = np.zeros_like(f0)
+            if n_t >= 3:
+                tang[1:-1] = ((f0[2:] - f0[1:-1]) - (f0[1:-1] - f0[:-2])) / h_t2
+                for end, a in ((0, adj[0]), (-1, adj[1])):
+                    o = f0 if end == 0 else f0[::-1]
+                    if isinstance(st.laws[a], NeumannZeroFlux):
+                        tang[end] = 2.0 * (o[1] - o[0]) / h_t2
+                    elif n_t >= 4:
+                        tang[end] = (
+                            -5.0 * (o[1] - o[0]) + 4.0 * (o[2] - o[0]) - (o[3] - o[0])
+                        ) / h_t2
+                    else:
+                        tang[end] = ((o[2] - o[1]) - (o[1] - o[0])) / h_t2
+            w_face = wprime[:, 0 if face is Face.BOTTOM else -1] if along_x else (
+                wprime[0 if face is Face.LEFT else -1, :]
+            )
+            lap_n = 2.0 * (f1 - f0) / h_n2
+            vals = f0 + dt * (lap_n + tang - inv_eps2 * w_face)
+        if face is Face.BOTTOM:
+            unew[:, 0] = vals
+        elif face is Face.TOP:
+            unew[:, -1] = vals
+        elif face is Face.LEFT:
+            unew[0, :] = vals
+        else:
+            unew[-1, :] = vals
+    return unew
+
+
+@pytest.mark.parametrize("nx", [2, 3, 4, 7])
+@pytest.mark.parametrize("ny", [2, 3, 4, 7])
+def test_2d_advance_matches_reference_bit_exactly(nx, ny):
+    # every assignment of the three laws to the four faces; with nx or
+    # ny at 2 the flat interior range is empty or holds face nodes only
+    rng = np.random.default_rng(100 * nx + ny)
+    u0 = rng.uniform(-1.0, 1.0, (nx, ny))
+    for mix in ALL_MIXES_2D:
+        st = PhaseState(ScalarField2D(grid_2d(nx, ny), u0), 0.0, 0.3, laws_2d(mix))
+        dt = stable_dt(st)
+        kernel = solver._StepKernel(st)
+        u = ref = st.u.values
+        # the first input is foreign, the next ones alternate buffers
+        for _ in range(4):
+            u = kernel.advance(u, dt)
+            ref = reference_advance_2d(st, ref, dt)
+            assert u.tobytes() == ref.tobytes(), mix
+
+
+@pytest.mark.parametrize("mix", MIXES_2D)
+class TestKernel2D:
+    """The 2D kernel under face-law mixes; as in `TestFaceLaws1D` the last
+    step is short and the final snapshot falls off-cadence."""
+
+    cadence = 6
+
+    def t_end(self, st):
+        return 20.5 * stable_dt(st)
+
+    def test_run_matches_repeated_step_bit_exactly(self, mix):
+        st = smooth_state_2d(mix)
+        t_end = self.t_end(st)
+        rec = run(st, t_end, observer_cadence=self.cadence)
+        dt = stable_dt(st)
+        stepped = {}
+        s = st
+        while s.t < t_end - 1e-12 * max(1.0, t_end):
+            s = step(s, min(dt, t_end - s.t))
+            stepped[s.t] = s
+        assert len(rec.snapshots) == 1 + 21 // self.cadence + 1
+        for snap in rec.snapshots[1:]:
+            ref = stepped[snap.t]
+            assert snap.state.u.values.tobytes() == ref.u.values.tobytes()
+            assert snap.state.dudt.values.tobytes() == ref.dudt.values.tobytes()
+
+    def test_negation_symmetry_bit_exact(self, mix):
+        st = smooth_state_2d(mix)
+        neg = smooth_state_2d(mix, sign=-1.0)
+        t_end = self.t_end(st)
+        a = run(st, t_end, observer_cadence=self.cadence)
+        b = run(neg, t_end, observer_cadence=self.cadence)
+        for sa, sb in zip(a.snapshots, b.snapshots):
+            assert sa.t == sb.t
+            assert np.array_equal(sa.state.u.values, -sb.state.u.values)
+        dt = stable_dt(st)
+        for _ in range(10):
+            st, neg = step(st, dt), step(neg, dt)
+            assert np.array_equal(st.u.values, -neg.u.values)
+            assert np.array_equal(st.dudt.values, -neg.dudt.values)
+
+    def test_snapshots_share_no_memory_with_work_buffers(self, mix, monkeypatch):
+        kernels = []
+
+        class SpyKernel(solver._StepKernel):
+            def __init__(self, state):
+                super().__init__(state)
+                kernels.append(self)
+
+        monkeypatch.setattr(solver, "_StepKernel", SpyKernel)
+        st = smooth_state_2d(mix)
+        u0 = st.u.values.copy()
+        rec = run(st, self.t_end(st), observer_cadence=self.cadence)
+        assert np.array_equal(st.u.values, u0)
+        (kernel,) = kernels
+        work = [*kernel._bufs, kernel._abs, kernel._dx, kernel._dy]
+        kept = [st.u.values]
+        for snap in rec.snapshots[1:]:
+            kept += [snap.state.u.values, snap.state.dudt.values]
+        for i, a in enumerate(kept):
+            for b in kept[i + 1:] + work:
+                assert not np.shares_memory(a, b)
+
+    def test_advance_allocates_no_grid_array(self, mix):
+        st = smooth_state_2d(mix, nx=64, ny=32)
+        kernel = solver._StepKernel(st)
+        dt = stable_dt(st)
+        u = kernel.advance(kernel.advance(st.u.values, dt), dt)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                u = kernel.advance(u, dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 64 * 32 * 8
