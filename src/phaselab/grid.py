@@ -298,6 +298,14 @@ def _axis_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out.swapaxes(0, axis)
 
 
+def one_sided_second(f0, f1, f2, f3, h2):
+    """Second derivative at an end from the end value ``f0`` and the next
+    three values inward, over the squared spacing ``h2``: the 4-point
+    one-sided (second order) stencil.  The one home of this stencil: the
+    solver's zero-flux face ends and `laplacian`'s end rows call it."""
+    return (-5.0 * (f1 - f0) + 4.0 * (f2 - f0) - (f3 - f0)) / h2
+
+
 def _axis_second_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second derivative along ``axis`` of a 2-D array: 3-point central in
     the interior, 4-point one-sided (second order) at the ends."""
@@ -314,12 +322,8 @@ def _axis_second_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarr
         out[2] = mid
     else:
         out[1:-1] = ((v[2:] - v[1:-1]) - (v[1:-1] - v[:-2])) / h2
-        out[0] = (
-            -5.0 * (v[1] - v[0]) + 4.0 * (v[2] - v[0]) - (v[3] - v[0])
-        ) / h2
-        out[-1] = (
-            -5.0 * (v[-2] - v[-1]) + 4.0 * (v[-3] - v[-1]) - (v[-4] - v[-1])
-        ) / h2
+        out[0] = one_sided_second(v[0], v[1], v[2], v[3], h2)
+        out[-1] = one_sided_second(v[-1], v[-2], v[-3], v[-4], h2)
     return out.swapaxes(0, axis)
 
 

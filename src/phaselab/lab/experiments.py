@@ -47,10 +47,6 @@ def run_single(config: RunConfig) -> RunRecord:
     return record
 
 
-def extract_snapshots(record: RunRecord, fit: bool = False) -> list[InterfaceExtract]:
-    return [extract_interface(s.state.u, fit=fit) for s in record.snapshots]
-
-
 def write_run_outputs(
     config: RunConfig,
     record: RunRecord,

@@ -18,6 +18,14 @@ boundary-attached endpoints along y = 0 with signed speed
 sigma * T_x / T_y, T the unit tangent into the curve (equal to
 sigma/tan(theta) toward the contact's leaning side).  A straight
 vertical segment hitting y = 0 is stationary under both laws.
+
+Both `polyline_step` and `evolve_front` advance a front with one step
+function, `_FrontKernel.step`, on buffers preallocated once per front:
+one `curvature_vectors` call into work arrays, the node update in place,
+and the endpoint tangents on Python floats.  Every node gets the IEEE
+operations of the masked formula at the end of `curvature_vectors`, in
+that formula's order, so fronts are bit-identical to it; a step in which
+some triple is collinear or degenerate runs the masked formula itself.
 """
 
 from __future__ import annotations
@@ -36,6 +44,10 @@ from .errors import (
 )
 
 DEFAULT_ORACLE_T_MAX = 0.45  # stay clear of the contact singularity at 1/2
+
+# a triple is collinear when |d| <= _FLAT_TOL * max(|p|^2, |q|^2); a 0-d
+# array, so the buffered product skips a scalar conversion per call
+_FLAT_TOL = np.array(1e-14)
 
 
 @dataclass(frozen=True)
@@ -232,61 +244,195 @@ def make_circle_front(
     )
 
 
-def _endpoint_tangent(p0, p1, p2, correct: bool) -> np.ndarray:
-    """Tangent direction into the curve at endpoint p0.
+def _endpoint_tangent(x0, y0, x1, y1, x2, y2, correct: bool) -> tuple[float, float]:
+    """Tangent direction into the curve at endpoint (x0, y0), with
+    (x1, y1) and (x2, y2) the next two nodes inward.
 
     The raw first-segment chord equals the true tangent rotated by half
     the local arc angle; measuring the turning between the first two
     chords and rotating back (arclength-weighted) removes that bias to
     second order.  ``correct=False`` keeps the raw chord.
     """
-    s0 = p1 - p0
+    s0x = x1 - x0
+    s0y = y1 - y0
     if not correct:
-        return s0
-    s1 = p2 - p1
-    delta = math.atan2(
-        s0[0] * s1[1] - s0[1] * s1[0], s0[0] * s1[0] + s0[1] * s1[1]
-    )
-    l0 = math.hypot(*s0)
-    l1 = math.hypot(*s1)
+        return s0x, s0y
+    s1x = x2 - x1
+    s1y = y2 - y1
+    delta = math.atan2(s0x * s1y - s0y * s1x, s0x * s1x + s0y * s1y)
+    l0 = math.hypot(s0x, s0y)
+    l1 = math.hypot(s1x, s1y)
     beta = delta * l0 / (l0 + l1)
     c, s = math.cos(beta), math.sin(beta)
-    return np.array([s0[0] * c + s0[1] * s, -s0[0] * s + s0[1] * c])
+    return s0x * c + s0y * s, -s0x * s + s0y * c
 
 
-def curvature_vectors(nodes: np.ndarray, closed: bool) -> np.ndarray:
+class _FrontKernel:
+    """Preallocated state of one front for repeated explicit steps.
+
+    The coordinates live in the two contiguous rows ``x`` and ``y`` of
+    one (2, N) block.  A closed front carries one ghost node at each end
+    (N = n + 2), equal to the node it wraps to after every `load` and
+    `step`.  ``nodes`` is the (n, 2) view of the real nodes, and ``k``
+    the (n, 2) view of the curvature buffer, zero at the endpoints of an
+    open front.  The previous, middle and next nodes of the m interior
+    triples are contiguous slices of ``x`` and ``y``, and the work arrays
+    that `curvature_vectors` fills are rows of a few blocks, so paired
+    rows go through one ufunc call.  All views are made here; a step
+    allocates nothing.
+    """
+
+    def __init__(self, nodes, closed: bool, sigma: float = 1.0,
+                 attached: bool = False, theta_tol: float = 1e-8,
+                 tangent_correction: bool = True):
+        n = nodes.shape[0]
+        self.closed = closed
+        self.attached = attached
+        self.sigma = sigma
+        self.theta_tol = theta_tol
+        self.tangent_correction = tangent_correction
+        g = 1 if closed else 0
+        m = n if closed else n - 2  # interior triples
+        self.n, self.ghost = n, g
+        self.xy = np.empty((2, n + 2 * g))
+        self.x, self.y = self.xy
+        self.real = self.xy[:, g : g + n]
+        self.nodes = self.real.T
+        self.kxy = np.zeros((2, n))
+        self.k = self.kxy.T
+        k_int = self.kxy if closed else self.kxy[:, 1:-1]
+        self.hk = np.empty((2, n))
+        x, y = self.x, self.y
+        pq = np.empty((4, m))  # p = prev - mid, q = next - mid
+        sq = np.empty((4, m))
+        p2q2 = np.empty((2, m))
+        cc = np.empty((2, m))
+        cc_sq = np.empty((2, m))
+        a, b, d, abs_d, scale, c2 = np.empty((6, m))
+        # the views `curvature_vectors` reads, in its order
+        self.bufs = (
+            (x[0:m], x[1 : m + 1], x[2 : m + 2]),
+            (y[0:m], y[1 : m + 1], y[2 : m + 2]),
+            pq, tuple(pq), sq, sq[0:2], sq[2:4], p2q2, tuple(p2q2),
+            a, b, d, abs_d, scale, np.empty(m, dtype=bool),
+            cc, tuple(cc), cc_sq, tuple(cc_sq), c2, tuple(k_int),
+        )
+        self.load(nodes)
+
+    def load(self, nodes) -> None:
+        self.real[...] = np.asarray(nodes, dtype=float).T
+        self._wrap()
+
+    def _wrap(self) -> None:
+        if self.closed:
+            xy, n = self.xy, self.n
+            xy[:, 0] = xy[:, n]
+            xy[:, n + 1] = xy[:, 1]
+
+    def min_segment(self) -> float:
+        g, n_seg = self.ghost, self.n - 1 + self.ghost
+        seg = self.xy[:, g + 1 : g + 1 + n_seg] - self.xy[:, g : g + n_seg]
+        return float(np.min(np.hypot(seg[0], seg[1])))
+
+    def front(self, target_fractions=None) -> "PolylineFront":
+        return PolylineFront(
+            self.nodes.copy(),
+            closed=self.closed,
+            attached=self.attached,
+            target_fractions=target_fractions,
+        )
+
+    def step(self, h: float) -> None:
+        """Advance the nodes by ``h``: interior nodes by the curvature
+        vector, attached endpoints along y = 0 by sigma * T_x / T_y.
+        Raises `ContactSingularityError` before moving anything."""
+        curvature_vectors(self.nodes, self.closed, self)
+        if self.attached:
+            (x0, x1, x2), (y0, y1, y2) = self.xy[:, :3].tolist()
+            (e2, e1, e0), (f2, f1, f0) = self.xy[:, -3:].tolist()
+            correct = self.tangent_correction
+            t0x, t0y = _endpoint_tangent(x0, y0, x1, y1, x2, y2, correct)
+            t1x, t1y = _endpoint_tangent(e0, f0, e1, f1, e2, f2, correct)
+            tol = self.theta_tol
+            if t0y <= tol * math.hypot(t0x, t0y) or t1y <= tol * math.hypot(t1x, t1y):
+                raise ContactSingularityError("tangential contact (theta -> 0)")
+        np.multiply(self.kxy, h, out=self.hk)
+        np.add(self.real, self.hk, out=self.real)
+        if self.attached:
+            hs = h * self.sigma
+            x, y = self.x, self.y
+            x[0] = x0 + hs * t0x / t0y
+            y[0] = 0.0
+            x[-1] = e0 + hs * t1x / t1y
+            y[-1] = 0.0
+        self._wrap()
+
+
+def curvature_vectors(nodes: np.ndarray, closed: bool, work: _FrontKernel | None = None) -> np.ndarray:
     """Curvature vector at each node from the circumscribed circle of the
     adjacent node triple; endpoints of open fronts get zero.  Collinear
-    triples contribute zero (flat front)."""
-    n = nodes.shape[0]
-    out = np.zeros_like(nodes)
-    if closed:
-        prev = np.roll(nodes, 1, axis=0)
-        nxt = np.roll(nodes, -1, axis=0)
-        mids = nodes
-        idx = slice(None)
-    else:
-        prev = nodes[:-2]
-        nxt = nodes[2:]
-        mids = nodes[1:-1]
-        idx = slice(1, n - 1)
-    p = prev - mids
-    q = nxt - mids
-    d = 2.0 * (p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
-    p2 = p[:, 0] ** 2 + p[:, 1] ** 2
-    q2 = q[:, 0] ** 2 + q[:, 1] ** 2
-    scale = np.maximum(p2, q2)
-    ok = np.abs(d) > 1e-14 * scale
+    triples contribute zero (flat front).
+
+    ``work`` is a `_FrontKernel` of the same node count and closedness.
+    The nodes are copied into it unless they are its own ``nodes``, and
+    the result is its ``k`` buffer, overwritten by its next call; nothing
+    is allocated unless a triple is collinear or degenerate.  Without
+    ``work`` the result is a fresh array, bit-identical to the buffered
+    one.
+    """
+    if work is None:
+        nodes = np.asarray(nodes, dtype=float)
+        if nodes.shape[0] < (1 if closed else 3):
+            return np.zeros_like(nodes)
+        return curvature_vectors(nodes, closed, _FrontKernel(nodes, closed)).copy()
+    if nodes is not work.nodes:
+        work.load(nodes)
+    (
+        (x_prev, x_mid, x_next),
+        (y_prev, y_mid, y_next),
+        pq, (px, qx, py, qy), sq, sq_x, sq_y, p2q2, (p2, q2),
+        a, b, d, abs_d, scale, ok,
+        cc, (ccx, ccy), cc_sq, (ccx_sq, ccy_sq), c2, (kx, ky),
+    ) = work.bufs
+    # every node gets the operations of the masked formula at the end,
+    # in its order; the masks are dropped when every triple passes them
+    np.subtract(x_prev, x_mid, out=px)
+    np.subtract(x_next, x_mid, out=qx)
+    np.subtract(y_prev, y_mid, out=py)
+    np.subtract(y_next, y_mid, out=qy)
+    np.multiply(px, qy, out=a)
+    np.multiply(py, qx, out=b)
+    np.subtract(a, b, out=d)
+    np.add(d, d, out=d)  # 2.0 * d, exactly
+    np.multiply(pq, pq, out=sq)
+    np.add(sq_x, sq_y, out=p2q2)
+    np.maximum(p2, q2, out=scale)
+    np.multiply(scale, _FLAT_TOL, out=scale)
+    np.abs(d, out=abs_d)
+    np.greater(abs_d, scale, out=ok)
+    if np.logical_and.reduce(ok):
+        np.multiply(p2, qy, out=a)
+        np.multiply(q2, py, out=b)
+        np.subtract(a, b, out=ccx)
+        np.divide(ccx, d, out=ccx)
+        np.multiply(q2, px, out=a)
+        np.multiply(p2, qx, out=b)
+        np.subtract(a, b, out=ccy)
+        np.divide(ccy, d, out=ccy)
+        np.multiply(cc, cc, out=cc_sq)
+        np.add(ccx_sq, ccy_sq, out=c2)
+        if np.minimum.reduce(c2) > 0:
+            np.divide(ccx, c2, out=kx)
+            np.divide(ccy, c2, out=ky)
+            return work.k
     dsafe = np.where(ok, d, 1.0)
-    ccx = (p2 * q[:, 1] - q2 * p[:, 1]) / dsafe
-    ccy = (q2 * p[:, 0] - p2 * q[:, 0]) / dsafe
+    ccx = (p2 * qy - q2 * py) / dsafe
+    ccy = (q2 * px - p2 * qx) / dsafe
     c2 = ccx * ccx + ccy * ccy
     c2 = np.where(ok & (c2 > 0), c2, 1.0)
-    kx = np.where(ok, ccx / c2, 0.0)
-    ky = np.where(ok, ccy / c2, 0.0)
-    out[idx, 0] = kx
-    out[idx, 1] = ky
-    return out
+    kx[...] = np.where(ok, ccx / c2, 0.0)
+    ky[...] = np.where(ok, ccy / c2, 0.0)
+    return work.k
 
 
 def polyline_step(
@@ -315,24 +461,11 @@ def polyline_step(
         raise StabilityError(
             f"dt={dt:.3e} exceeds front bound {c_stab * min_seg**2:.3e}"
         )
-    kn = curvature_vectors(front.nodes, front.closed)
-    new = front.nodes + dt * kn
-    if front.attached:
-        nd = front.nodes
-        t0 = _endpoint_tangent(nd[0], nd[1], nd[2], tangent_correction)
-        t1 = _endpoint_tangent(nd[-1], nd[-2], nd[-3], tangent_correction)
-        n0 = math.hypot(*t0)
-        n1 = math.hypot(*t1)
-        if t0[1] <= theta_tol * n0 or t1[1] <= theta_tol * n1:
-            raise ContactSingularityError("tangential contact (theta -> 0)")
-        new[0] = (nd[0, 0] + dt * sigma * t0[0] / t0[1], 0.0)
-        new[-1] = (nd[-1, 0] + dt * sigma * t1[0] / t1[1], 0.0)
-    out = PolylineFront(
-        new,
-        closed=front.closed,
-        attached=front.attached,
-        target_fractions=front.target_fractions,
+    kernel = _FrontKernel(
+        front.nodes, front.closed, sigma, front.attached, theta_tol, tangent_correction
     )
+    kernel.step(dt)
+    out = kernel.front(front.target_fractions)
     if out.min_segment() <= 1e-12:
         raise ResolutionError("front segment collapsed")
     return out
@@ -394,34 +527,23 @@ def evolve_front(
 ) -> FrontHistory:
     """Drive the front to ``t_end``, redistributing and recording on the
     given cadences.  ``dt=None`` adapts the step to the parabolic bound,
-    re-evaluated at every redistribution as segments shrink.  The inner
-    loop is a lean equivalent of `polyline_step` (stability re-checked at
-    redistribution cadence rather than per step)."""
+    re-evaluated at every redistribution as segments shrink.  Each step
+    is the buffered kernel of `polyline_step`; the stability and collapse
+    checks run at the redistribution cadence rather than per step."""
     hist = FrontHistory(sigma=sigma, closed=front.closed, attached=front.attached)
     t = 0.0
     hist.append(t, front)
     if front.n_nodes() < 3:
         raise UsageError("front needs at least 3 nodes")
 
-    nodes = front.nodes.copy()
-    closed = front.closed
-    attached = front.attached
+    kernel = _FrontKernel(
+        front.nodes, front.closed, sigma, front.attached, theta_tol, tangent_correction
+    )
     fractions = front.target_fractions
     block = max(1, redistribute_every)
 
-    def current(nodes_arr):
-        return PolylineFront(
-            nodes_arr.copy(),
-            closed=closed,
-            attached=attached,
-            target_fractions=fractions,
-        )
-
-    def block_dt(nodes_arr) -> float:
-        seg = np.diff(
-            np.vstack([nodes_arr, nodes_arr[:1]]) if closed else nodes_arr, axis=0
-        )
-        min_seg = float(np.min(np.hypot(seg[:, 0], seg[:, 1])))
+    def block_dt() -> float:
+        min_seg = kernel.min_segment()
         if min_seg <= 1e-12:
             raise ResolutionError("front segment collapsed")
         bound = c_stab * min_seg * min_seg
@@ -436,29 +558,20 @@ def evolve_front(
 
     k = 0
     while t < t_end - 1e-15:
-        step_dt = block_dt(nodes)
+        step_dt = block_dt()
         for _ in range(block):
             if t >= t_end - 1e-15:
                 break
             h = min(step_dt, t_end - t)
-            kn = curvature_vectors(nodes, closed)
-            new = nodes + h * kn
-            if attached:
-                t0 = _endpoint_tangent(nodes[0], nodes[1], nodes[2], tangent_correction)
-                t1 = _endpoint_tangent(nodes[-1], nodes[-2], nodes[-3], tangent_correction)
-                if t0[1] <= theta_tol * math.hypot(*t0) or t1[1] <= theta_tol * math.hypot(*t1):
-                    raise ContactSingularityError("tangential contact (theta -> 0)")
-                new[0] = (nodes[0, 0] + h * sigma * t0[0] / t0[1], 0.0)
-                new[-1] = (nodes[-1, 0] + h * sigma * t1[0] / t1[1], 0.0)
-            nodes = new
+            kernel.step(h)
             t += h
             k += 1
             if (record_every and k % record_every == 0) or t >= t_end - 1e-15:
-                hist.append(t, current(nodes))
+                hist.append(t, kernel.front(fractions))
         if redistribute_every and t < t_end - 1e-15:
-            nodes = redistribute(current(nodes)).nodes
+            kernel.load(redistribute(kernel.front(fractions)).nodes)
         if check_simple_every and (k // block) % max(1, check_simple_every // block) == 0:
-            if not current(nodes).is_simple():
+            if not kernel.front(fractions).is_simple():
                 raise ResolutionError("front self-intersects")
     return hist
 
@@ -477,12 +590,6 @@ class ErrorTable:
     @property
     def velocity_rel_error(self) -> np.ndarray:
         return np.abs(self.velocity_measured - self.velocity_exact) / self.velocity_exact
-
-    def to_csv_text(self) -> str:
-        lines = ["t,radius_error,contact_error"]
-        for t, re_, ce in zip(self.times, self.radius_error, self.contact_error):
-            lines.append(f"{t!r},{re_!r},{ce!r}")
-        return "\n".join(lines) + "\n"
 
 
 def compare_to_exact(history: FrontHistory, sigma: float) -> ErrorTable:

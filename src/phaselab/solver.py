@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, StabilityError, UsageError
-from .grid import Face, Grid2D, ScalarField2D, inward_slope
+from .grid import Face, Grid2D, ScalarField2D, inward_slope, one_sided_second
 
 MAX_PRINCIPLE_SLACK = 1e-12
 ENERGY_RISE_SLACK = 1e-10
@@ -200,10 +200,6 @@ def stable_dt(state: PhaseState, safety: float = 0.5) -> float:
 # -- the explicit step --------------------------------------------------------
 
 
-def _one_sided_second(f0, f1, f2, f3, h2):
-    return (-5.0 * (f1 - f0) + 4.0 * (f2 - f0) - (f3 - f0)) / h2
-
-
 class _StepKernel:
     """Precompiled single-step arithmetic for one (grid, eps, laws)
     combination.  `step` builds one per call; `run` reuses one across the
@@ -322,7 +318,7 @@ class _StepKernel:
                     tang[end] = 2.0 * (o1 - o0) / h_t2
                 elif n >= 4:
                     o3 = fv.item(end + 3 * inward)
-                    tang[end] = _one_sided_second(o0, o1, o2, o3, h_t2)
+                    tang[end] = one_sided_second(o0, o1, o2, o3, h_t2)
                 else:
                     tang[end] = ((o2 - o1) - (o1 - o0)) / h_t2
         # fv + dt*((lap + tang) - W'(fv)/eps^2), W' = (-2 fv)(1 - fv fv)
