@@ -9,7 +9,9 @@ and RIGHT carrying counting measure, and BOTTOM/TOP are inactive.
 
 Stencils are second order throughout: central differences in the
 interior, 3-point one-sided first derivatives and 4-point one-sided
-second derivatives on the faces (the latter for diagnostics only).
+second derivatives at the ends of every line.  Each one-sided stencil
+has one home, shared by the solver and the diagnostics: `inward_slope`
+(a 2-point difference on lines of two nodes) and `one_sided_second`.
 All of them reproduce affine fields exactly; the second-derivative
 stencils reproduce quadratics exactly.
 """
@@ -280,21 +282,21 @@ class VectorField2D:
 
 def _axis_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second-order first derivative along ``axis`` of a 2-D array;
-    one-sided at the ends."""
+    `inward_slope` at the ends."""
     v = values.swapaxes(0, axis)
     n = v.shape[0]
     out = np.empty_like(v)
     if n == 1:
         out[:] = 0.0
     elif n == 2:
-        d = (v[1] - v[0]) / h
-        out[0] = d
-        out[1] = d
+        # one 2-point difference for both ends (negating the slope read
+        # from the far end would turn a +0.0 into -0.0)
+        out[0] = out[1] = inward_slope(v[0], v[1], None, h)
     else:
         # difference forms vanish bit-exactly on constants
         out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-        out[0] = (4.0 * (v[1] - v[0]) - (v[2] - v[0])) / (2 * h)
-        out[-1] = -(4.0 * (v[-2] - v[-1]) - (v[-3] - v[-1])) / (2 * h)
+        out[0] = inward_slope(v[0], v[1], v[2], h)
+        out[-1] = -inward_slope(v[-1], v[-2], v[-3], h)
     return out.swapaxes(0, axis)
 
 
@@ -385,9 +387,11 @@ def tangential_derivative(f: ScalarField2D, face: Face) -> np.ndarray:
 def inward_slope(f0, f1, f2, h: float):
     """Inward first derivative at a face from the face line ``f0`` and the
     next lines ``f1``, ``f2`` inward: the 3-point one-sided stencil, or
-    the 2-point difference when ``f2`` is None (minimal grids).  The one
-    home of this stencil: the solver's dynamic faces and every diagnostic
-    normal derivative call it."""
+    the 2-point difference when ``f2`` is None (minimal grids).  Takes
+    arrays or Python floats.  The one home of this stencil: the solver's
+    dynamic faces (2D lines and 1D end nodes), `normal_derivative` and
+    the end rows of `_axis_derivative` (hence `gradient` and
+    `tangential_derivative`) call it."""
     if f2 is None:
         return (f1 - f0) / h
     return (4.0 * (f1 - f0) - (f2 - f0)) / (2 * h)

@@ -51,9 +51,6 @@ class PhysicsConfig:
     laws: tuple[tuple[Face, str], ...]
     sigma: float | None = None
 
-    def law_of(self, face: Face) -> str:
-        return dict(self.laws)[face]
-
 
 @dataclass(frozen=True)
 class InitialConfig:

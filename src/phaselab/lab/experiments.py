@@ -85,6 +85,21 @@ def write_run_outputs(
 # -- arc benchmark ---------------------------------------------------------------
 
 
+def _oracle_t_end(config: RunConfig) -> float:
+    return min(config.schedule.t_end, sharp.DEFAULT_ORACLE_T_MAX)
+
+
+def _oracle_run(config: RunConfig, sigma: float):
+    """The front-tracking oracle on the graded sigma-arc up to the oracle
+    end time: its `FrontHistory` and error table against the closed form."""
+    front = sharp.make_arc_front(sigma, config.experiment.oracle_nodes, grade_count=2)
+    hist = sharp.evolve_front(
+        front, sigma, _oracle_t_end(config), dt=config.experiment.oracle_dt,
+        record_every=200,
+    )
+    return hist, sharp.compare_to_exact(hist, sigma)
+
+
 def _contact_pair(ext: InterfaceExtract, y_cut: float) -> tuple[float, float] | None:
     pts = ext.all_points()
     if pts.shape[0] == 0:
@@ -162,15 +177,7 @@ def arc_benchmark(config: RunConfig) -> tuple[RunRecord, dict]:
     w = (times >= t1) & (times <= t2)
 
     # oracle comparison at the recorded times
-    front = sharp.make_arc_front(sigma, config.experiment.oracle_nodes, grade_count=2)
-    hist = sharp.evolve_front(
-        front,
-        sigma,
-        min(config.schedule.t_end, sharp.DEFAULT_ORACLE_T_MAX),
-        dt=config.experiment.oracle_dt,
-        record_every=200,
-    )
-    tab = sharp.compare_to_exact(hist, sigma)
+    hist, tab = _oracle_run(config, sigma)
     o_times = np.asarray(hist.times)
     o_left = np.array([f[0, 0] for f in hist.fronts])
     in_oracle = times <= o_times[-1] + 1e-12
@@ -329,14 +336,9 @@ def oracle(config: RunConfig) -> dict:
     sigmas = config.experiment.sigma_list or (config.physics.sigma,)
     if any(s is None for s in sigmas):
         raise UsageError("oracle mode needs physics.sigma or experiment.sigma_list")
-    t_end = min(config.schedule.t_end, sharp.DEFAULT_ORACLE_T_MAX)
-    out = {"t_end": t_end, "runs": []}
+    out = {"t_end": _oracle_t_end(config), "runs": []}
     for s in sigmas:
-        front = sharp.make_arc_front(s, config.experiment.oracle_nodes, grade_count=2)
-        hist = sharp.evolve_front(
-            front, s, t_end, dt=config.experiment.oracle_dt, record_every=200
-        )
-        tab = sharp.compare_to_exact(hist, s)
+        _, tab = _oracle_run(config, s)
         m = np.isfinite(tab.contact_error)
         out["runs"].append(
             {

@@ -18,6 +18,13 @@ interface length (``4/3`` is the integral of ``1 - s^2`` over [-1, 1]);
 both the raw total and the normalized one are reported.  Velocities are
 zeroed where the relevant gradient magnitude is at or below the floor
 ``1e-12 / eps`` to avoid 0/0 amplification in flat regions.
+
+Each formula has one home.  `_densities` evaluates the gradient, its
+square, the gradient-floor mask and both densities of a state for
+`energy`, `diagnostics` and all of `varifold`; `_face_dissipation` is
+the dynamic-face dissipation ``sum w (eps/sigma) d^2`` of `diagnostics`
+and the Brakke check; `observe` alone forms the energy-balance defect.
+Both helpers are private, so they add no span to a traced run.
 """
 
 from __future__ import annotations
@@ -53,17 +60,15 @@ def gradient_floor(eps: float) -> float:
 
 @dataclass
 class FaceDiagnostics:
-    """Per-face boundary traces at one instant."""
+    """Per-face boundary traces at one instant; their quadrature weights
+    are ``grid.face_weights(face)``."""
 
     face: Face
-    weights: np.ndarray
     alpha: np.ndarray            # eps * (tangential derivative)^2
     tangential: np.ndarray
     normal: np.ndarray           # outward normal derivative
     sin_theta: np.ndarray
     cos_theta: np.ndarray
-    energy_density: np.ndarray   # eps*tau^2/2 + W/eps (tangential part only)
-    normal_energy_density: np.ndarray  # eps * (normal derivative)^2
     vb_x: np.ndarray | None
     vb_y: np.ndarray | None
 
@@ -76,8 +81,7 @@ class DiffuseDiagnostics:
     xi_density: ScalarField2D
     v_field: VectorField2D | None
     faces: dict[Face, FaceDiagnostics]
-    E_total: float
-    mu_total: float
+    E_total: float               # also the mass of the mu density
     xi_abs_total: float
     alpha_total: float
     E_over_sigma0: float
@@ -88,11 +92,42 @@ class DiffuseDiagnostics:
     diss_boundary: float
 
 
+@dataclass
+class _Densities:
+    """Bulk densities of one state, from one gradient evaluation."""
+
+    grad: VectorField2D
+    g2: np.ndarray               # |grad u|^2
+    mask: np.ndarray             # |grad u| above the gradient floor
+    mu: np.ndarray               # eps*|grad u|^2/2 + W(u)/eps
+    xi: np.ndarray               # eps*|grad u|^2/2 - W(u)/eps
+
+
+def _densities(state: PhaseState) -> _Densities:
+    eps = state.eps
+    grad = gradient(state.u)
+    g2 = grad.norm2()
+    floor = gradient_floor(eps)
+    kinetic = 0.5 * eps * g2
+    potential = double_well(state.u.values) / eps
+    return _Densities(
+        grad=grad,
+        g2=g2,
+        mask=g2 > floor * floor,
+        mu=kinetic + potential,
+        xi=kinetic - potential,
+    )
+
+
+def _face_dissipation(w: np.ndarray, eps: float, sigma: float, d: np.ndarray) -> float:
+    """sum of w (eps/sigma) d^2 over a dynamic face, with quadrature (or
+    quadrature times test function) weights ``w`` and trace rate ``d``."""
+    return float(np.sum(w * (eps / sigma) * d * d))
+
+
 def energy(state: PhaseState) -> float:
     """Free energy: the integral of eps*|grad u|^2/2 + W(u)/eps."""
-    g2 = gradient(state.u).norm2()
-    dens = 0.5 * state.eps * g2 + double_well(state.u.values) / state.eps
-    return integrate_values(state.grid, dens)
+    return integrate_values(state.grid, _densities(state).mu)
 
 
 def diagnostics(state: PhaseState) -> DiffuseDiagnostics:
@@ -100,23 +135,17 @@ def diagnostics(state: PhaseState) -> DiffuseDiagnostics:
     reported as absent when no step has populated ``dudt`` yet."""
     g = state.grid
     eps = state.eps
-    u = state.u.values
-    grad = gradient(state.u)
-    g2 = grad.norm2()
-    w = double_well(u)
-    mu = 0.5 * eps * g2 + w / eps
-    xi = 0.5 * eps * g2 - w / eps
-    e_total = integrate_values(g, mu)
-    xi_abs = integrate_values(g, np.abs(xi))
+    dens = _densities(state)
+    grad, mask = dens.grad, dens.mask
+    e_total = integrate_values(g, dens.mu)
+    xi_abs = integrate_values(g, np.abs(dens.xi))
     floor = gradient_floor(eps)
-    floor2 = floor * floor
 
     v_field = None
     diss_interior = float("nan")
     if state.dudt is not None:
         dudt = state.dudt.values
-        mask = g2 > floor2
-        denom = np.where(mask, g2, 1.0)
+        denom = np.where(mask, dens.g2, 1.0)
         v_field = VectorField2D(
             g,
             np.where(mask, -dudt * grad.vx / denom, 0.0),
@@ -139,8 +168,6 @@ def diagnostics(state: PhaseState) -> DiffuseDiagnostics:
         sin_t = np.where(bmask, np.abs(tau) / safe, 0.0)
         cos_t = np.where(bmask, dnu / safe, 0.0)
         alpha = eps * tau * tau
-        e_dens = 0.5 * eps * tau * tau + double_well(trace) / eps
-        n_dens = eps * dnu * dnu
 
         vb_x = vb_y = None
         if state.dudt is not None:
@@ -152,34 +179,30 @@ def diagnostics(state: PhaseState) -> DiffuseDiagnostics:
             vb_y = scale * ty
             law = state.laws[face]
             if isinstance(law, Dynamic):
-                diss_boundary += float(
-                    np.sum(wts * (eps / law.sigma) * dudt_tr * dudt_tr)
-                )
+                diss_boundary += _face_dissipation(wts, eps, law.sigma, dudt_tr)
 
         faces[face] = FaceDiagnostics(
             face=face,
-            weights=wts,
             alpha=alpha,
             tangential=tau,
             normal=dnu,
             sin_theta=sin_t,
             cos_theta=cos_t,
-            energy_density=e_dens,
-            normal_energy_density=n_dens,
             vb_x=vb_x,
             vb_y=vb_y,
         )
         alpha_total += float(np.sum(wts * alpha))
+        # eps*tau^2/2 + W/eps (tangential part only) and eps*(normal)^2
+        e_dens = 0.5 * eps * tau * tau + double_well(trace) / eps
         boundary_energy += float(np.sum(wts * e_dens))
-        normal_energy += float(np.sum(wts * n_dens))
+        normal_energy += float(np.sum(wts * (eps * dnu * dnu)))
 
     return DiffuseDiagnostics(
-        mu_density=ScalarField2D(g, mu),
-        xi_density=ScalarField2D(g, xi),
+        mu_density=ScalarField2D(g, dens.mu),
+        xi_density=ScalarField2D(g, dens.xi),
         v_field=v_field,
         faces=faces,
         E_total=e_total,
-        mu_total=e_total,
         xi_abs_total=xi_abs,
         alpha_total=alpha_total,
         E_over_sigma0=e_total / SIGMA0,
@@ -206,7 +229,7 @@ def observe(state: PhaseState, e_before: float | None = None, dt: float | None =
         "t": state.t,
         "E": diag.E_total,
         "E_over_sigma0": diag.E_over_sigma0,
-        "mu_total": diag.mu_total,
+        "mu_total": diag.E_total,
         "xi_abs": diag.xi_abs_total,
         "alpha_total": diag.alpha_total,
         "max_abs_u": diag.max_abs_u,
@@ -227,22 +250,14 @@ def dissipation_residual(
         [E(after) - E(before)]/dt + int eps (du/dt)^2
                                   + sum_dynamic int (eps/sigma) (du/dt)^2,
 
-    normalized by max(E(before), 1).  Zero for exact equilibria; O(dt)
+    normalized by max(E(before), 1): the value `observe` records as
+    ``dissipation_residual``.  Zero for exact equilibria; O(dt)
     otherwise (explicit Euler truncation).
     """
     if state_after.dudt is None:
         raise UsageError("state_after carries no cached time derivative")
-    e_before = energy(state_before)
-    e_after = energy(state_after)
-    eps = state_after.eps
-    dudt = state_after.dudt.values
-    total = (e_after - e_before) / dt
-    total += integrate_values(state_after.grid, eps * dudt * dudt)
-    for face, sigma in state_after.dynamic_faces():
-        dudt_tr = state_after.grid.face_slice(dudt, face)
-        wts = state_after.grid.face_weights(face)
-        total += float(np.sum(wts * (eps / sigma) * dudt_tr * dudt_tr))
-    return total / max(e_before, 1.0)
+    snap = observe(state_after, e_before=energy(state_before), dt=dt)
+    return snap.scalars["dissipation_residual"]
 
 
 # -- windowed record integrals ------------------------------------------------

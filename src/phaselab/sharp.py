@@ -45,6 +45,10 @@ from .errors import (
 
 DEFAULT_ORACLE_T_MAX = 0.45  # stay clear of the contact singularity at 1/2
 
+# an adaptive oracle step below this fraction of the first block's step
+# means the nodes bunch up faster than anything spreads them
+_ADAPTIVE_DT_FLOOR = 1e-4
+
 # a triple is collinear when |d| <= _FLAT_TOL * max(|p|^2, |q|^2); a 0-d
 # array, so the buffered product skips a scalar conversion per call
 _FLAT_TOL = np.array(1e-14)
@@ -64,12 +68,6 @@ class ArcSolution:
     vb: float | None
     sin_theta: float | None
     cos_theta: float | None
-
-    detach_time: float = 0.5
-
-    @property
-    def extinction_time(self) -> float:
-        return 0.5 * self.big_radius**2
 
     @property
     def contacts_exist(self) -> bool:
@@ -527,9 +525,12 @@ def evolve_front(
 ) -> FrontHistory:
     """Drive the front to ``t_end``, redistributing and recording on the
     given cadences.  ``dt=None`` adapts the step to the parabolic bound,
-    re-evaluated at every redistribution as segments shrink.  Each step
-    is the buffered kernel of `polyline_step`; the stability and collapse
-    checks run at the redistribution cadence rather than per step."""
+    re-evaluated at every redistribution as segments shrink, and raises
+    `ResolutionError` once it falls below 1e-4 of the first block's step
+    (without redistribution the nodes near a contact can bunch up until
+    t stalls).  Each step is the buffered kernel of `polyline_step`; the
+    stability and collapse checks run at the redistribution cadence
+    rather than per step."""
     hist = FrontHistory(sigma=sigma, closed=front.closed, attached=front.attached)
     t = 0.0
     hist.append(t, front)
@@ -541,15 +542,23 @@ def evolve_front(
     )
     fractions = front.target_fractions
     block = max(1, redistribute_every)
+    first_dt = None
 
     def block_dt() -> float:
+        nonlocal first_dt
         min_seg = kernel.min_segment()
         if min_seg <= 1e-12:
             raise ResolutionError("front segment collapsed")
         bound = c_stab * min_seg * min_seg
         if dt is None:
             # margin for segment shrinkage within the block
-            return 0.5 * bound
+            adaptive = 0.5 * bound
+            first_dt = first_dt or adaptive
+            if adaptive < _ADAPTIVE_DT_FLOOR * first_dt:
+                raise ResolutionError(
+                    f"adaptive front step fell below {_ADAPTIVE_DT_FLOOR:g} of its "
+                    f"first value at t={t:.6g} (shortest segment {min_seg:.3e})")
+            return adaptive
         if dt > bound:
             raise StabilityError(
                 f"dt={dt:.3e} exceeds front bound {bound:.3e}"

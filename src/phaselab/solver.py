@@ -369,12 +369,8 @@ class _StepKernel:
                 poly = (c0 - c0 * c0 * c0) * self._c_react + c0
                 out[i] = poly + dt * (2.0 * (col.item(j) - c0) / self.hx2)
             elif kind is Dynamic:
-                hx = self.grid.hx
-                c1 = col.item(j)
-                if k is None:
-                    inward = (c1 - c0) / hx
-                else:
-                    inward = (4.0 * (c1 - c0) - (col.item(k) - c0)) / (2 * hx)
+                c2 = None if k is None else col.item(k)
+                inward = inward_slope(c0, col.item(j), c2, self.grid.hx)
                 out[i] = c0 + dt * sigma * inward
             else:
                 out[i] = c0

@@ -34,14 +34,13 @@ from .grid import (
     Face,
     Grid2D,
     VectorField2D,
-    gradient,
     integrate_values,
     laplacian,
     normal_derivative,
     tangential_derivative,
 )
-from .measures import gradient_floor, time_trapezoid, window_indices
-from .solver import PhaseState, double_well, double_well_prime
+from .measures import _densities, _face_dissipation, time_trapezoid, window_indices
+from .solver import PhaseState, double_well_prime
 
 if TYPE_CHECKING:
     from .record import RunRecord
@@ -344,32 +343,27 @@ class VariationReport:
         return sum(abs(v) for v in self.terms.values())
 
 
-def _grad_and_mask(state: PhaseState):
-    grad = gradient(state.u)
-    g2 = grad.norm2()
-    floor = gradient_floor(state.eps)
-    mask = g2 > floor * floor
-    return grad, g2, mask
+def _projection_pairing(xx, yy, dens, g: VectorTestField):
+    """(div g, (jac g) : (a (x) a)) at the nodes ``(xx, yy)``; the second
+    is meaningful on the gradient mask only."""
+    jxx, jxy, jyx, jyy = g.jacobian(xx, yy)
+    vx, vy = dens.grad.vx, dens.grad.vy
+    denom = np.where(dens.mask, dens.g2, 1.0)
+    aa = (jxx * vx * vx + (jxy + jyx) * vx * vy + jyy * vy * vy) / denom
+    return jxx + jyy, aa
+
+
+def _direct_variation(grid: Grid2D, dens, divg, aa) -> float:
+    return integrate_values(grid, np.where(dens.mask, (divg - aa) * dens.mu, 0.0))
 
 
 def first_variation_direct(state: PhaseState, g: VectorTestField) -> float:
     """int over {|grad u| > floor} of (jac g) : (I - a(x)a) against the
     surface density."""
     g.verify_flags(state.grid)
-    grad, g2, mask = _grad_and_mask(state)
-    eps = state.eps
-    mu = 0.5 * eps * g2 + double_well(state.u.values) / eps
-    xx, yy = state.grid.meshgrid()
-    jxx, jxy, jyx, jyy = g.jacobian(xx, yy)
-    divg = jxx + jyy
-    denom = np.where(mask, g2, 1.0)
-    aa = (
-        jxx * grad.vx * grad.vx
-        + (jxy + jyx) * grad.vx * grad.vy
-        + jyy * grad.vy * grad.vy
-    ) / denom
-    integrand = np.where(mask, (divg - aa) * mu, 0.0)
-    return integrate_values(state.grid, integrand)
+    dens = _densities(state)
+    divg, aa = _projection_pairing(*state.grid.meshgrid(), dens, g)
+    return _direct_variation(state.grid, dens, divg, aa)
 
 
 def first_variation_expanded(state: PhaseState, g: VectorTestField) -> VariationReport:
@@ -380,21 +374,12 @@ def first_variation_expanded(state: PhaseState, g: VectorTestField) -> Variation
     grd = state.grid
     eps = state.eps
     u = state.u.values
-    grad, g2, mask = _grad_and_mask(state)
+    dens = _densities(state)
+    grad, mask, xi = dens.grad, dens.mask, dens.xi
     lap = laplacian(state.u).values
-    w = double_well(u)
-    xi = 0.5 * eps * g2 - w / eps
-    mu = 0.5 * eps * g2 + w / eps
     xx, yy = grd.meshgrid()
     gx, gy = g.value(xx, yy)
-    jxx, jxy, jyx, jyy = g.jacobian(xx, yy)
-    divg = jxx + jyy
-    denom = np.where(mask, g2, 1.0)
-    aa = (
-        jxx * grad.vx * grad.vx
-        + (jxy + jyx) * grad.vx * grad.vy
-        + jyy * grad.vy * grad.vy
-    ) / denom
+    divg, aa = _projection_pairing(xx, yy, dens, g)
 
     chem = eps * lap - double_well_prime(u) / eps
     t_interior = integrate_values(grd, (gx * grad.vx + gy * grad.vy) * chem)
@@ -408,7 +393,7 @@ def first_variation_expanded(state: PhaseState, g: VectorTestField) -> Variation
         fx, fy = g.value(coords[:, 0], coords[:, 1])
         nx_, ny_ = face.normal
         wts = grd.face_weights(face)
-        mu_tr = grd.face_slice(mu, face)
+        mu_tr = grd.face_slice(dens.mu, face)
         vx_tr = grd.face_slice(grad.vx, face)
         vy_tr = grd.face_slice(grad.vy, face)
         dnu = vx_tr * nx_ + vy_tr * ny_
@@ -425,7 +410,7 @@ def first_variation_expanded(state: PhaseState, g: VectorTestField) -> Variation
         "zero_gradient_set": t_zero_set,
     }
     return VariationReport(
-        delta_direct=first_variation_direct(state, g),
+        delta_direct=_direct_variation(grd, dens, divg, aa),
         delta_expanded=sum(terms.values()),
         terms=terms,
     )
@@ -440,10 +425,11 @@ def mean_curvature_field(state: PhaseState) -> VectorField2D:
     radial profile of radius R the magnitude approaches 1/R at the level
     set.
     """
-    grad, g2, mask = _grad_and_mask(state)
+    dens = _densities(state)
+    grad, mask = dens.grad, dens.mask
     eps = state.eps
     f = -eps * laplacian(state.u).values + double_well_prime(state.u.values) / eps
-    denom = np.where(mask, eps * g2, 1.0)
+    denom = np.where(mask, eps * dens.g2, 1.0)
     return VectorField2D(
         state.grid,
         np.where(mask, f * grad.vx / denom, 0.0),
@@ -454,8 +440,9 @@ def mean_curvature_field(state: PhaseState) -> VectorField2D:
 def projection_tensor(state: PhaseState):
     """(pxx, pxy, pyy, mask): entries of I - a(x)a where the gradient is
     above the floor (used by invariant checks)."""
-    grad, g2, mask = _grad_and_mask(state)
-    denom = np.where(mask, g2, 1.0)
+    dens = _densities(state)
+    grad, mask = dens.grad, dens.mask
+    denom = np.where(mask, dens.g2, 1.0)
     axx = grad.vx * grad.vx / denom
     axy = grad.vx * grad.vy / denom
     ayy = grad.vy * grad.vy / denom
@@ -473,9 +460,8 @@ def _pairing_instant(snapshot_faces, grid: Grid2D, g: VectorTestField, faces) ->
             raise UsageError("boundary velocity absent (no step taken yet)")
         c = grid.face_coords(face)
         gx, gy = g.value(c[:, 0], c[:, 1])
-        total += float(
-            np.sum(fd.weights * (gx * fd.vb_x + gy * fd.vb_y) * fd.alpha)
-        )
+        wts = grid.face_weights(face)
+        total += float(np.sum(wts * (gx * fd.vb_x + gy * fd.vb_y) * fd.alpha))
     return total
 
 
@@ -540,18 +526,6 @@ class BrakkeReport:
     window: tuple[float, float]
     terms: dict[str, float]
 
-    def inequality_holds(self, slack: float) -> bool:
-        return self.lhs <= self.rhs + slack
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "window": list(self.window),
-            "terms": self.terms,
-        }
-
 
 def brakke_residual(
     record: "RunRecord",
@@ -592,17 +566,13 @@ def brakke_residual(
     phi_vals = phi.value(xx, yy)
     px, py = phi.grad(xx, yy)
 
-    def mu_pairing(s):
-        grad = gradient(s.state.u)
-        eps = s.state.eps
-        mu = 0.5 * eps * grad.norm2() + double_well(s.state.u.values) / eps
-        return integrate_values(grid, phi_vals * mu), grad, mu
-
     times = np.array([s.t for s in snaps])
     integrand = np.empty(len(snaps))
     lhs_first = lhs_last = 0.0
     for k, s in enumerate(snaps):
-        pairing, grad, mu = mu_pairing(s)
+        dens = _densities(s.state)
+        grad, mu = dens.grad, dens.mu
+        pairing = integrate_values(grid, phi_vals * mu)
         if k == 0:
             lhs_first = pairing
         if k == len(snaps) - 1:
@@ -622,7 +592,7 @@ def brakke_residual(
             wts = grid.face_weights(face)
             if mode == "dynamic":
                 dtr = grid.face_slice(dudt, face)
-                boundary -= float(np.sum(wts * phi_tr * (eps / sigma) * dtr * dtr))
+                boundary -= _face_dissipation(wts * phi_tr, eps, sigma, dtr)
             else:
                 dnu = normal_derivative(s.state.u, face)
                 boundary -= float(np.sum(wts * phi_tr * eps * sigma * dnu * dnu))

@@ -8,10 +8,12 @@ from phaselab.grid import (
     Face,
     Grid2D,
     ScalarField2D,
+    _axis_derivative,
     boundary_trace,
     face_integral,
     gradient,
     integrate_domain,
+    inward_slope,
     laplacian,
     normal_derivative,
     tangential_derivative,
@@ -68,6 +70,25 @@ class TestGradient:
         v = gradient(f)
         assert np.allclose(v.vx, 2.0, atol=1e-12)
         assert np.allclose(v.vy, -3.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_end_rows_are_inward_slope_bit_for_bit(self, n, axis):
+        rng = np.random.default_rng(n)
+        shape = (n, 3) if axis == 0 else (3, n)
+        cases = [
+            rng.uniform(-1.0, 1.0, shape),
+            rng.choice([-0.0, 0.0, 0.5, -1.0], shape),
+            rng.standard_normal(shape) * 1e-200,
+        ]
+        for h in (0.1, 1.0 / 3.0):
+            for v in cases:
+                d = _axis_derivative(v, h, axis).swapaxes(0, axis)
+                w = v.swapaxes(0, axis)
+                lo = inward_slope(w[0], w[1], w[2], h)
+                hi = -inward_slope(w[-1], w[-2], w[-3], h)
+                assert d[0].tobytes() == lo.tobytes()
+                assert d[-1].tobytes() == hi.tobytes()
 
     def test_sin_convergence_table(self):
         # frozen from the analytic-derivative oracle pi*cos(pi x)

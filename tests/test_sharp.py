@@ -1,5 +1,6 @@
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -195,6 +196,15 @@ class TestEvolution:
         front = make_arc_front(1.0, 200, grade_count=6)
         with pytest.raises(StabilityError):
             evolve_front(front, 1.0, 0.05, dt=1e-5)
+
+    def test_adaptive_dt_without_redistribution_refuses_to_stall(self):
+        # the contact nodes bunch up and the adaptive step shrinks
+        # geometrically; t used to creep toward t_end without end
+        front = make_arc_front(0.5, 120, grade_count=0)
+        t0 = time.perf_counter()
+        with pytest.raises(ResolutionError, match=r"at t=0\.0\d+ \(shortest segment"):
+            evolve_front(front, 0.5, 0.02, dt=None, redistribute_every=0)
+        assert time.perf_counter() - t0 < 20.0
 
 
 # -- bit-exact references for the buffered front step --------------------------

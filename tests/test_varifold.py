@@ -139,7 +139,9 @@ class TestFirstVariation:
         )
         resid = {}
         for n in (65, 129):
-            rep = first_variation_expanded(radial_state(n), g)
+            st = radial_state(n)
+            rep = first_variation_expanded(st, g)
+            assert rep.delta_direct == first_variation_direct(st, g)
             resid[n] = rep.ibp_residual
         assert 3.5 < resid[65] / resid[129] < 4.5
 
@@ -150,7 +152,9 @@ class TestFirstVariation:
         )
         resid = {}
         for nx in (501, 1001):
-            rep = first_variation_expanded(compressed_1d(nx), g)
+            st = compressed_1d(nx)
+            rep = first_variation_expanded(st, g)
+            assert rep.delta_direct == first_variation_direct(st, g)
             resid[nx] = rep.ibp_residual
         assert 3.5 < resid[501] / resid[1001] < 4.5
 
