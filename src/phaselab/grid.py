@@ -14,6 +14,11 @@ has one home, shared by the solver and the diagnostics: `inward_slope`
 (a 2-point difference on lines of two nodes) and `one_sided_second`.
 All of them reproduce affine fields exactly; the second-derivative
 stencils reproduce quadratics exactly.
+
+Face derivatives are read, never re-derived: `face_gradient` returns
+the face row of a computed `gradient`, whose end rows are `inward_slope`.
+Face values come from `Grid2D.face_slice`, their quadrature weights from
+`Grid2D.face_weights`.
 """
 
 from __future__ import annotations
@@ -329,11 +334,6 @@ def _axis_second_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarr
     return out.swapaxes(0, axis)
 
 
-def _line_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """1-D version of `_axis_derivative` for face traces."""
-    return _axis_derivative(values.reshape(-1, 1), h, 0).reshape(-1)
-
-
 def gradient(f: ScalarField2D) -> VectorField2D:
     """Nodal gradient, second order including one-sided face stencils.
 
@@ -361,67 +361,35 @@ def laplacian(f: ScalarField2D) -> ScalarField2D:
     return ScalarField2D(g, out)
 
 
-def boundary_trace(f: ScalarField2D, face: Face) -> tuple[np.ndarray, np.ndarray]:
-    """Face samples plus trapezoidal quadrature weights.
-
-    The weighted sum is the line integral over the face (exact on traces
-    that are affine in arclength).
-    """
-    g = f.grid
-    return g.face_slice(f.values, face).copy(), g.face_weights(face)
-
-
-def tangential_derivative(f: ScalarField2D, face: Face) -> np.ndarray:
-    """Derivative along the face direction; on flat faces this is exactly
-    the tangential gradient of the trace.  Zero in 1D mode (point faces).
-    """
-    g = f.grid
-    g.require_active(face)
-    if g.is_1d:
-        return np.zeros(1)
-    trace = g.face_slice(f.values, face)
-    h = g.hx if face.axis == 0 else g.hy
-    return _line_derivative(trace, h)
-
-
 def inward_slope(f0, f1, f2, h: float):
     """Inward first derivative at a face from the face line ``f0`` and the
     next lines ``f1``, ``f2`` inward: the 3-point one-sided stencil, or
     the 2-point difference when ``f2`` is None (minimal grids).  Takes
     arrays or Python floats.  The one home of this stencil: the solver's
-    dynamic faces (2D lines and 1D end nodes), `normal_derivative` and
-    the end rows of `_axis_derivative` (hence `gradient` and
-    `tangential_derivative`) call it."""
+    dynamic faces (2D lines and 1D end nodes) and the end rows of
+    `_axis_derivative` (hence `gradient` and `face_gradient`) call it."""
     if f2 is None:
         return (f1 - f0) / h
     return (4.0 * (f1 - f0) - (f2 - f0)) / (2 * h)
 
 
-def normal_derivative(f: ScalarField2D, face: Face) -> np.ndarray:
-    """Outward normal derivative on a face: the negated `inward_slope`."""
-    i0, i1, i2, h = f.grid.inward_lines(face)
-    v = f.values
-    inward = inward_slope(v[i0], v[i1], None if i2 is None else v[i2], h)
-    return np.atleast_1d(-inward)
+def face_gradient(grad: VectorField2D, face: Face) -> tuple[np.ndarray, np.ndarray]:
+    """(tangential, outward normal) derivative on a face: the face row of
+    a computed `gradient`, whose end rows are `inward_slope`.  The
+    tangential part is zero in 1D mode (point faces).  Both arrays are
+    fresh, so keeping them does not keep the gradient alive."""
+    g = grad.grid
+    along, across = (grad.vx, grad.vy) if face.axis == 0 else (grad.vy, grad.vx)
+    across = g.face_slice(across, face)
+    normal = -across if face in (Face.BOTTOM, Face.LEFT) else across.copy()
+    return g.face_slice(along, face).copy(), normal
 
 
-def integrate_domain(density: ScalarField2D) -> float:
-    """Tensor-product trapezoid rule.
+def integrate_values(grid: Grid2D, values: np.ndarray) -> float:
+    """Tensor-product trapezoid rule of a (nx, ny) array.
 
     The reduction runs over the row-major weighted array with numpy's
     pairwise summation, a fixed deterministic order independent of any
     threading in the caller.
     """
-    w = density.grid.domain_weights()
-    return float(np.sum(w * density.values))
-
-
-def integrate_values(grid: Grid2D, values: np.ndarray) -> float:
-    """`integrate_domain` for a bare (nx, ny) array."""
     return float(np.sum(grid.domain_weights() * values))
-
-
-def face_integral(f: ScalarField2D, face: Face) -> float:
-    """Line integral of a field's trace over one face."""
-    trace, w = boundary_trace(f, face)
-    return float(np.sum(trace * w))

@@ -32,9 +32,21 @@ from ..varifold import (
 EVERYWHERE = Window1D(float("-inf"), float("inf"), 0.0, 0.0)
 
 
-def _parse_spec(spec: str) -> tuple[str, dict[str, float]]:
+class _Params(dict):
+    """The parameters of one spec; reading a required one that the spec
+    does not give raises a `ConfigurationError` naming it."""
+
+    def __init__(self, spec: str):
+        super().__init__()
+        self.spec = spec
+
+    def __missing__(self, key: str) -> float:
+        raise ConfigurationError(f"test field {self.spec!r} needs parameter {key!r}")
+
+
+def _parse_spec(spec: str) -> tuple[str, _Params]:
     name, _, raw = spec.partition(":")
-    params: dict[str, float] = {}
+    params = _Params(spec)
     for tok in raw.split(","):
         tok = tok.strip()
         if not tok:

@@ -5,7 +5,9 @@ sigma, [initial] interface descriptor, [schedule] t_end / cadence /
 safety / optional dt, [experiment] mode and sweep lists, [output]
 directory and dump flags.  Validation collects every violation (with its
 key path) before failing; float values must be finite.  No code is ever embedded in a config; test
-fields are referenced by catalog name plus parameters.
+fields are referenced by catalog name plus parameters, and each one is
+built while parsing, so a bad spec fails with the other violations.
+Values are plain strings: a ``%`` is never interpolated.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from ..solver import (
     PhaseState,
     init_profile,
 )
+from .catalog import vector_field_from_spec
 
 MODES = ("run", "sweep-eps", "sweep-sigma", "arc-benchmark", "oracle")
 LAW_NAMES = ("dynamic", "dirichlet", "neumann")
@@ -102,7 +105,9 @@ class RunConfig:
 
 
 def _parser_from_text(text: str) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None
+    )
     cp.read_string(text)
     return cp
 
@@ -236,6 +241,11 @@ def parse_config_text(text: str) -> RunConfig:
     window_t2 = need("experiment", "window_t2", float, required=False)
     raw_fields = need("experiment", "test_fields", str, default="", required=False)
     test_fields = tuple(s.strip() for s in raw_fields.split("|") if s.strip())
+    for spec in test_fields:
+        try:
+            vector_field_from_spec(spec)
+        except ConfigurationError as exc:
+            problems.append(f"experiment.test_fields {exc}")
     oracle_nodes = need("experiment", "nodes", int, default=200, required=False)
     oracle_dt = need("experiment", "oracle_dt", float, required=False)
 
@@ -288,7 +298,7 @@ def parse_config(path: str | Path) -> RunConfig:
 
 def serialize(config: RunConfig) -> str:
     """Canonical config text; parse(serialize(parse(f))) == parse(f)."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     g = config.grid
     cp["grid"] = {
         "x_min": repr(g.x_min),
@@ -397,32 +407,25 @@ def build_state(config: RunConfig) -> PhaseState:
 def child_configs(config: RunConfig) -> list[tuple[float, RunConfig]]:
     """Per-value child configs of a sweep: identical except for the swept
     parameter and the output subdirectory."""
-    mode = config.experiment.mode
-    children = []
-    if mode == "sweep-eps":
-        for e in config.experiment.eps_list:
-            child = replace(
-                config,
-                physics=replace(config.physics, eps=e),
-                experiment=replace(config.experiment, mode="run"),
-                output=replace(
-                    config.output, dir=str(Path(config.output.dir) / f"eps_{e:g}")
-                ),
-                source_text="",
-            )
-            children.append((e, child))
-    elif mode == "sweep-sigma":
-        for s in config.experiment.sigma_list:
-            child = replace(
-                config,
-                physics=replace(config.physics, sigma=s),
-                experiment=replace(config.experiment, mode="run"),
-                output=replace(
-                    config.output, dir=str(Path(config.output.dir) / f"sigma_{s:g}")
-                ),
-                source_text="",
-            )
-            children.append((s, child))
+    ex = config.experiment
+    if ex.mode == "sweep-eps":
+        key, values = "eps", ex.eps_list
+    elif ex.mode == "sweep-sigma":
+        key, values = "sigma", ex.sigma_list
     else:
-        raise ConfigurationError(f"mode {mode!r} has no sweep children")
-    return children
+        raise ConfigurationError(f"mode {ex.mode!r} has no sweep children")
+    return [
+        (
+            v,
+            replace(
+                config,
+                physics=replace(config.physics, **{key: v}),
+                experiment=replace(ex, mode="run"),
+                output=replace(
+                    config.output, dir=str(Path(config.output.dir) / f"{key}_{v:g}")
+                ),
+                source_text="",
+            ),
+        )
+        for v in values
+    ]

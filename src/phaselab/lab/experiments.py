@@ -51,7 +51,6 @@ def write_run_outputs(
     config: RunConfig,
     record: RunRecord,
     out_dir: str | Path,
-    dump_fields: bool | None = None,
     extra_report: dict | None = None,
 ) -> Path:
     out = Path(out_dir)
@@ -71,8 +70,7 @@ def write_run_outputs(
                 lines.append(f"{snap.t!r},{p},{float(xp)!r},{float(yp)!r}")
         (iface_dir / f"{k:04d}.csv").write_text("\n".join(lines) + "\n", "utf-8")
 
-    dump = config.output.dump_fields if dump_fields is None else dump_fields
-    if dump:
+    if config.output.dump_fields:
         fdir = out / "fields"
         fdir.mkdir(exist_ok=True)
         for k, snap in enumerate(record.snapshots):

@@ -6,8 +6,8 @@ Densities on the grid (with ``W(s) = (1-s^2)^2/2``):
     discrepancy density eps*|grad u|^2/2 - W(u)/eps      (equipartition gap)
     normal velocity     -du/dt * grad u / |grad u|^2     on {|grad u| > floor}
 
-and on each boundary face, from the face-assembled gradient
-(tangential derivative along the face, one-sided normal derivative):
+and on each boundary face, from the face row of that gradient
+(`grid.face_gradient`: tangential and outward normal derivative):
 
     boundary area density   eps * |tangential grad|^2
     boundary velocity       -du/dt * tangential grad / |tangential grad|^2
@@ -39,11 +39,10 @@ from .grid import (
     Face,
     ScalarField2D,
     VectorField2D,
-    boundary_trace,
+    _axis_derivative,
+    face_gradient,
     gradient,
     integrate_values,
-    normal_derivative,
-    tangential_derivative,
 )
 from .solver import Dynamic, PhaseState, double_well
 
@@ -159,9 +158,8 @@ def diagnostics(state: PhaseState) -> DiffuseDiagnostics:
     normal_energy = 0.0
     diss_boundary = 0.0 if state.dudt is not None else float("nan")
     for face in g.active_faces():
-        tau = tangential_derivative(state.u, face)
-        dnu = normal_derivative(state.u, face)
-        trace, wts = boundary_trace(state.u, face)
+        tau, dnu = face_gradient(grad, face)
+        wts = g.face_weights(face)
         bmag = np.hypot(tau, dnu)
         bmask = bmag > floor
         safe = np.where(bmask, bmag, 1.0)
@@ -193,6 +191,7 @@ def diagnostics(state: PhaseState) -> DiffuseDiagnostics:
         )
         alpha_total += float(np.sum(wts * alpha))
         # eps*tau^2/2 + W/eps (tangential part only) and eps*(normal)^2
+        trace = g.face_slice(state.u.values, face)
         e_dens = 0.5 * eps * tau * tau + double_well(trace) / eps
         boundary_energy += float(np.sum(wts * e_dens))
         normal_energy += float(np.sum(wts * (eps * dnu * dnu)))
@@ -348,9 +347,10 @@ def w_transform(state: PhaseState) -> ScalarField2D:
 def boundary_phase_indicator(state: PhaseState, face: Face) -> tuple[float, float]:
     """(|int_face w|, (2/3)*|face|): a first component strictly below the
     second signals a phase boundary on the face."""
-    w = w_transform(state)
-    trace, wts = boundary_trace(w, face)
-    return abs(float(np.sum(trace * wts))), (2.0 / 3.0) * state.grid.face_measure(face)
+    g = state.grid
+    trace = g.face_slice(w_transform(state).values, face)
+    mass = abs(float(np.sum(trace * g.face_weights(face))))
+    return mass, (2.0 / 3.0) * g.face_measure(face)
 
 
 def poincare_wirtinger_ratio(
@@ -372,9 +372,7 @@ def poincare_wirtinger_ratio(
     if periodic:
         dw = (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * h)
     else:
-        from .grid import _line_derivative
-
-        dw = _line_derivative(values, h)
+        dw = _axis_derivative(values[:, None], h, 0)[:, 0]
     den = float(np.sum(np.abs(dw) * weights))
     tiny = 1e-300
     if den <= tiny:

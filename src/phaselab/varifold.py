@@ -34,10 +34,10 @@ from .grid import (
     Face,
     Grid2D,
     VectorField2D,
+    face_gradient,
+    gradient,
     integrate_values,
     laplacian,
-    normal_derivative,
-    tangential_derivative,
 )
 from .measures import _densities, _face_dissipation, time_trapezoid, window_indices
 from .solver import PhaseState, double_well_prime
@@ -396,7 +396,7 @@ def first_variation_expanded(state: PhaseState, g: VectorTestField) -> Variation
         mu_tr = grd.face_slice(dens.mu, face)
         vx_tr = grd.face_slice(grad.vx, face)
         vy_tr = grd.face_slice(grad.vy, face)
-        dnu = vx_tr * nx_ + vy_tr * ny_
+        _, dnu = face_gradient(grad, face)
         t_boundary_mu += float(np.sum(wts * (fx * nx_ + fy * ny_) * mu_tr))
         t_boundary_flux += float(
             np.sum(wts * (-eps) * (fx * vx_tr + fy * vy_tr) * dnu)
@@ -493,7 +493,8 @@ def tangential_first_variation(
 
         -sum_faces int eps (g . tangent) (tangential deriv)(normal deriv).
 
-    Uses the same trace stencils as the boundary law; on dynamic faces it
+    Reads both derivatives from the face rows of one `gradient`, whose
+    end rows are the boundary law's `inward_slope`; on dynamic faces it
     cancels (1/sigma) times the instantaneous boundary pairing up to one
     explicit-Euler step of skew (the cached trace velocity is driven by
     the pre-step normal derivative), an O(dt) residual.
@@ -502,10 +503,10 @@ def tangential_first_variation(
     grd = state.grid
     if faces is None:
         faces = grd.active_faces()
+    grad = gradient(state.u)
     total = 0.0
     for face in faces:
-        tau = tangential_derivative(state.u, face)
-        dnu = normal_derivative(state.u, face)
+        tau, dnu = face_gradient(grad, face)
         c = grd.face_coords(face)
         gx, gy = g.value(c[:, 0], c[:, 1])
         tx, ty = face.tangent
@@ -594,7 +595,7 @@ def brakke_residual(
                 dtr = grid.face_slice(dudt, face)
                 boundary -= _face_dissipation(wts * phi_tr, eps, sigma, dtr)
             else:
-                dnu = normal_derivative(s.state.u, face)
+                _, dnu = face_gradient(grad, face)
                 boundary -= float(np.sum(wts * phi_tr * eps * sigma * dnu * dnu))
         integrand[k] = interior + transport + boundary
 

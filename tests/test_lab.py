@@ -4,12 +4,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselab.errors import ConfigurationError, DivergenceError
 from phaselab.grid import Face, Grid2D, ScalarField2D
 from phaselab.lab import cli, experiments
 from phaselab.lab.catalog import scalar_field_from_spec, vector_field_from_spec
 from phaselab.lab.config import (
+    LAW_NAMES,
+    MODES,
+    ExperimentConfig,
+    GridConfig,
+    InitialConfig,
+    OutputConfig,
+    PhysicsConfig,
+    RunConfig,
+    ScheduleConfig,
     build_laws,
     build_state,
     child_configs,
@@ -175,6 +186,136 @@ class TestConfigParsing:
             parse_config_text(text.replace(old, new))
         assert f"{path} non-finite value {raw!r}" in str(err.value)
 
+    def test_percent_in_values_is_plain_text(self, tmp_path):
+        out = tmp_path / "run%1%(nx)s%%"
+        cfg = parse_config_text(MINIMAL_1D.format(out=out))
+        assert cfg.output.dir == str(out)
+        again = parse_config_text(serialize(cfg))
+        assert dataclasses.replace(again, source_text="") == dataclasses.replace(
+            cfg, source_text=""
+        )
+
+    def test_bad_test_field_spec_refused_with_path(self, tmp_path):
+        text = MINIMAL_1D.format(out=tmp_path).replace(
+            "[output]", "[experiment]\ntest_fields = xbump:cx=0.2 | nope:a=1\n\n[output]"
+        )
+        with pytest.raises(ConfigurationError) as err:
+            parse_config_text(text)
+        msg = str(err.value)
+        assert "experiment.test_fields test field 'xbump:cx=0.2' needs parameter 'w'" in msg
+        assert "experiment.test_fields unknown vector test field 'nope'" in msg
+
+
+def _finite(lo=-1e6, hi=1e6):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _open_unit():
+    return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+_positive = st.floats(1e-6, 1e6)
+
+# vector test-field specs as the catalog reads them, parameters in repr form
+_SPEC_KEYS = {
+    "const": ("dx", "dy"),
+    "xbump": ("cx", "w"),
+    "ybump": ("cy", "w"),
+    "bump": ("dx", "dy", "cx", "cy", "wx", "wy"),
+    "dilation": ("cx", "cy", "wx", "wy"),
+}
+_specs = st.sampled_from(sorted(_SPEC_KEYS)).flatmap(
+    lambda name: st.lists(
+        _finite(), min_size=len(_SPEC_KEYS[name]), max_size=len(_SPEC_KEYS[name])
+    ).map(
+        lambda vals: name
+        + ":"
+        + ",".join(f"{k}={v!r}" for k, v in zip(_SPEC_KEYS[name], vals))
+    )
+)
+
+# Output directories: printable text with %-signs and interpolation-like
+# tokens mixed in.  Left out, because the INI format cannot carry them in
+# a value: line breaks and control characters, '#' and ';' (the inline
+# comment prefixes), and leading or trailing whitespace (stripped).
+_dir_text = st.text(
+    st.characters(
+        categories=("L", "N", "P", "S", "Zs"), max_codepoint=0x2FF, exclude_characters="#;"
+    ),
+    max_size=12,
+)
+_dirs = (
+    st.lists(st.one_of(_dir_text, st.sampled_from(["%", "%%", "%(nx)s", "%1"])), max_size=5)
+    .map("".join)
+    .filter(lambda s: s == s.strip())
+)
+
+
+@st.composite
+def run_configs(draw):
+    ny = draw(st.integers(1, 300))
+    x_min = draw(_finite())
+    y_min = draw(_finite())
+    grid = GridConfig(
+        x_min=x_min,
+        x_max=x_min + draw(_positive),
+        y_min=y_min,
+        y_max=y_min + draw(_positive) if ny > 1 else draw(_finite()),
+        nx=draw(st.integers(2, 300)),
+        ny=ny,
+    )
+    mode = draw(st.sampled_from(MODES))
+    names = [draw(st.sampled_from(LAW_NAMES)) for _ in Face]
+    if mode == "arc-benchmark":
+        if ny == 1:
+            grid = dataclasses.replace(grid, ny=2, y_max=grid.y_min + 1.0)
+        names[list(Face).index(Face.BOTTOM)] = "dynamic"
+    kind = draw(st.sampled_from(("line1d", "circle", "halfspace", "arc")))
+    needs_sigma = "dynamic" in names or kind == "arc"
+    sigma = draw(_positive if needs_sigma else st.none() | _finite())
+    keys = {
+        "line1d": ("x_star",),
+        "circle": ("cx", "cy", "radius", "sign"),
+        "halfspace": ("nx", "ny", "offset"),
+        "arc": (),
+    }[kind]
+    return RunConfig(
+        grid=grid,
+        physics=PhysicsConfig(
+            eps=draw(_open_unit()), laws=tuple(zip(Face, names)), sigma=sigma
+        ),
+        initial=InitialConfig(kind, tuple((k, draw(_finite())) for k in keys)),
+        schedule=ScheduleConfig(
+            t_end=draw(st.floats(0.0, 1e3)),
+            cadence=draw(st.integers(1, 10**6)),
+            safety=draw(st.floats(0.0, 0.5, exclude_min=True)),
+            dt=draw(st.none() | _finite()),
+        ),
+        experiment=ExperimentConfig(
+            mode=mode,
+            eps_list=tuple(
+                draw(st.lists(_open_unit(), min_size=mode == "sweep-eps", max_size=4))
+            ),
+            sigma_list=tuple(
+                draw(st.lists(_positive, min_size=mode == "sweep-sigma", max_size=4))
+            ),
+            window_t1=draw(st.none() | _finite()),
+            window_t2=draw(st.none() | _finite()),
+            test_fields=tuple(draw(st.lists(_specs, max_size=3))),
+            oracle_nodes=draw(st.integers(1, 10**5)),
+            oracle_dt=draw(st.none() | _finite()),
+        ),
+        output=OutputConfig(dir=draw(_dirs), dump_fields=draw(st.booleans())),
+    )
+
+
+class TestConfigRoundTrip:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(cfg=run_configs())
+    def test_parse_inverts_serialize(self, cfg):
+        again = parse_config_text(serialize(cfg))
+        assert dataclasses.replace(again, source_text="") == cfg
+
 
 class TestCatalog:
     def test_vector_specs(self):
@@ -193,6 +334,20 @@ class TestCatalog:
             vector_field_from_spec("nope:a=1")
         with pytest.raises(ConfigurationError):
             vector_field_from_spec("xbump:cx=oops")
+
+    @pytest.mark.parametrize(
+        "from_spec, spec, key",
+        [
+            (vector_field_from_spec, "xbump:cx=0.2", "w"),
+            (vector_field_from_spec, "ybump:w=0.5", "cy"),
+            (vector_field_from_spec, "bump:cx=0,cy=0,wx=1", "wy"),
+            (vector_field_from_spec, "dilation:cx=1,cy=0,wy=1", "wx"),
+            (scalar_field_from_spec, "gauss:cx=0,cy=0", "s"),
+        ],
+    )
+    def test_missing_parameter_named(self, from_spec, spec, key):
+        with pytest.raises(ConfigurationError, match=f"needs parameter {key!r}"):
+            from_spec(spec)
 
 
 class TestExtraction:
@@ -363,6 +518,26 @@ class TestCli:
         for command in ("run", "arc-benchmark", "oracle"):
             with pytest.raises(SystemExit):
                 parser.parse_args([command, "--config", "c.ini", "--threads", "2"])
+
+    def test_percent_in_output_dir_runs(self, tmp_path):
+        cfgf = tmp_path / "run.ini"
+        out = tmp_path / "run%1"
+        cfgf.write_text(MINIMAL_1D.format(out=out), "utf-8")
+        assert cli.main(["run", "--config", str(cfgf), "--quiet"]) == 0
+        assert (out / "series.csv").exists()
+        assert (out / "config.echo").read_text("utf-8") == cfgf.read_text("utf-8")
+
+    def test_bad_test_field_exit_2_before_running(self, tmp_path, capsys):
+        cfgf = tmp_path / "sweep.ini"
+        out = tmp_path / "o"
+        text = ARC_2D.format(out=out).replace(
+            "mode = run",
+            "mode = sweep-sigma\nsigma_list = 1.0, 0.5\ntest_fields = xbump:cx=0.2",
+        )
+        cfgf.write_text(text, "utf-8")
+        assert cli.main(["sweep-sigma", "--config", str(cfgf), "--quiet"]) == 2
+        assert "needs parameter 'w'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exit_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.ini"), "--quiet"]) == 2

@@ -202,14 +202,14 @@ class TestStep:
     def test_dynamic_trace_follows_boundary_law(self):
         # the cached trace derivative equals -sigma * normal derivative of
         # the pre-step field, nodewise
-        from phaselab.grid import normal_derivative
+        from phaselab.grid import face_gradient, gradient
 
         g = Grid2D.from_extents(0.0, 1.0, 0.0, 1.0, 33, 33)
         sigma = 1.7
         laws = dict(neumann_laws())
         laws[Face.BOTTOM] = Dynamic(sigma)
         st = init_profile(g, CircleArc((0.5, 0.2), 0.3), 0.1, laws=laws)
-        dnu = normal_derivative(st.u, Face.BOTTOM)
+        _, dnu = face_gradient(gradient(st.u), Face.BOTTOM)
         out = step(st, stable_dt(st))
         assert np.allclose(out.dudt.values[:, 0], -sigma * dnu, atol=1e-12)
 
