@@ -16,6 +16,8 @@ Scalar fields (Brakke test functions):
 
 from __future__ import annotations
 
+import math
+
 from ..errors import ConfigurationError
 from ..varifold import (
     ScalarTestField,
@@ -31,6 +33,24 @@ from ..varifold import (
 
 EVERYWHERE = Window1D(float("-inf"), float("inf"), 0.0, 0.0)
 
+# the parameters each field reads; a width must be positive and a roll
+# nonnegative, since `Window1D` reads a nonpositive width as an unbounded
+# plateau and builds a different field without a word
+_VECTOR_KEYS = {
+    "const": ("dx", "dy"),
+    "xbump": ("cx", "w"),
+    "ybump": ("cy", "w"),
+    "bump": ("dx", "dy", "cx", "cy", "wx", "wy"),
+    "dilation": ("cx", "cy", "wx", "wy"),
+}
+_SCALAR_KEYS = {
+    "one": (),
+    "plateau": ("xlo", "xhi", "xroll", "ylo", "yhi", "yroll"),
+    "gauss": ("cx", "cy", "s"),
+}
+_POSITIVE = ("w", "wx", "wy", "s")
+_NONNEGATIVE = ("xroll", "yroll")
+
 
 class _Params(dict):
     """The parameters of one spec; reading a required one that the spec
@@ -44,23 +64,43 @@ class _Params(dict):
         raise ConfigurationError(f"test field {self.spec!r} needs parameter {key!r}")
 
 
-def _parse_spec(spec: str) -> tuple[str, _Params]:
+def _parse_spec(spec: str, catalog: dict, kind: str) -> tuple[str, _Params]:
+    """The field name and parameters of a spec, refusing an unknown name
+    and any parameter the field would not read as written."""
     name, _, raw = spec.partition(":")
+    name = name.strip()
+    if name not in catalog:
+        raise ConfigurationError(f"unknown {kind} test field {name!r}")
     params = _Params(spec)
     for tok in raw.split(","):
         tok = tok.strip()
         if not tok:
             continue
         key, _, val = tok.partition("=")
+        key = key.strip()
         try:
-            params[key.strip()] = float(val)
+            value = float(val)
         except ValueError as exc:
             raise ConfigurationError(f"bad test-field parameter {tok!r}") from exc
-    return name.strip(), params
+        if key not in catalog[name]:
+            problem = "unknown"
+        elif key in params:
+            problem = "repeated"
+        elif not math.isfinite(value):
+            problem = "non-finite"
+        elif key in _POSITIVE and not value > 0:
+            problem = "nonpositive"
+        elif key in _NONNEGATIVE and value < 0:
+            problem = "negative"
+        else:
+            params[key] = value
+            continue
+        raise ConfigurationError(f"test field {spec!r} has {problem} parameter {key!r}")
+    return name, params
 
 
 def vector_field_from_spec(spec: str) -> VectorTestField:
-    name, p = _parse_spec(spec)
+    name, p = _parse_spec(spec, _VECTOR_KEYS, "vector")
     if name == "const":
         return vec_constant(p.get("dx", 1.0), p.get("dy", 0.0), name=spec)
     if name == "xbump":
@@ -78,29 +118,25 @@ def vector_field_from_spec(spec: str) -> VectorTestField:
             bump1d(p["cy"], p["wy"]),
             name=spec,
         )
-    if name == "dilation":
-        return vec_dilation(
-            (p["cx"], p["cy"]),
-            bump1d(p["cx"], p["wx"]),
-            bump1d(p["cy"], p["wy"]),
-            name=spec,
-        )
-    raise ConfigurationError(f"unknown vector test field {name!r}")
+    return vec_dilation(
+        (p["cx"], p["cy"]),
+        bump1d(p["cx"], p["wx"]),
+        bump1d(p["cy"], p["wy"]),
+        name=spec,
+    )
 
 
 def scalar_field_from_spec(spec: str) -> ScalarTestField:
-    name, p = _parse_spec(spec)
+    name, p = _parse_spec(spec, _SCALAR_KEYS, "scalar")
     if name == "one":
         return scalar_constant(1.0, name=spec)
     if name == "plateau":
         wx = Window1D(p["xlo"], p["xhi"], p.get("xroll", 0.0), p.get("xroll", 0.0))
         wy = Window1D(p["ylo"], p["yhi"], p.get("yroll", 0.0), p.get("yroll", 0.0))
         return scalar_window(wx, wy, name=spec)
-    if name == "gauss":
-        from ..varifold import scalar_gauss
+    from ..varifold import scalar_gauss
 
-        return scalar_gauss(p["cx"], p["cy"], p["s"], name=spec)
-    raise ConfigurationError(f"unknown scalar test field {name!r}")
+    return scalar_gauss(p["cx"], p["cy"], p["s"], name=spec)
 
 
 # Asymmetric by design: fields that pair symmetrically with the arc's two

@@ -10,7 +10,15 @@ one-sided stencil), a frozen trace (formal ``sigma -> 0`` limit), or
 zero-flux reflection (formal ``sigma = infinity``).  The scheme commutes
 with ``u -> -u`` bit-exactly and keeps ``max|u| <= 1 + 1e-12`` whenever
 the initial data lies in ``[-1, 1]``; a violation or a NaN aborts the
-run as numerical divergence.
+run as numerical divergence, naming the node and its face.
+
+The 2D step runs on ghost-padded work buffers stored y-major, whose
+ghost lines mirror the first inward line after every step, so the
+interior sweep also serves the zero-flux faces.  It updates only a band
+of y-levels: away from the diffuse layer the tanh profile is +-1 to the
+last bit, and the update maps an exact +-1 level with +-1 neighbours to
+itself, so skipping such levels changes no bit of any output.
+`_StepKernel` states the layout and the exactness argument in full.
 """
 
 from __future__ import annotations
@@ -22,10 +30,20 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, StabilityError, UsageError
-from .grid import Face, Grid2D, ScalarField2D, inward_slope, one_sided_second
+from .grid import (
+    FACE_PRECEDENCE,
+    Face,
+    Grid2D,
+    ScalarField2D,
+    inward_slope,
+    one_sided_second,
+)
 
 MAX_PRINCIPLE_SLACK = 1e-12
 ENERGY_RISE_SLACK = 1e-10
+# levels a face stencil reads across from its own: the dynamic law's
+# 3-point slope reads two, the 4-point corner formula three
+_FACE_REACH = 3
 
 
 def double_well(s):
@@ -207,26 +225,56 @@ class _StepKernel:
 
     Updates land in two preallocated work buffers: `advance` writes into
     the one its input is not, so a result stays valid until the call
-    after next.  A caller that keeps a result longer copies it.
+    after next.  A caller that keeps a result longer copies it; a result
+    passed back to `advance` must be unchanged.
 
-    The 2D interior allocates nothing per step.  It runs as ``out=``
-    ufuncs on contiguous 1D slices of the flattened C-order arrays: node
-    (i, j) sits at flat index k = i*ny + j, its x-neighbours at k +- ny
-    and its y-neighbours at k +- 1.  The flat range [ny + 1, nx*ny - ny - 1)
-    spans the core rows i = 1 .. nx-2, but it also takes in the j = 0 and
-    j = ny-1 nodes of those rows, whose y-neighbours wrap into the next or
-    previous row.  Those wrapped values are never kept: all four faces are
-    active in 2D, and the BOTTOM and TOP face laws, written after the
-    interior, overwrite every j = 0 and j = ny-1 node.  Each node keeps
-    the operations of the per-node formula in its order,
+    **2D layout.**  Each 2D work buffer is stored y-major with one ghost
+    line on every side, shape (ny + 2, nx + 2): node (i, j) sits at
+    [j + 1, i + 1], and `advance` hands out the transposed interior view
+    as the (nx, ny) field.  After every step the four ghost lines are
+    refreshed as mirrors of the first inward line (ghost column 0 holds
+    i = 1, ghost row 0 holds j = 1, and so on).  On the flattened buffer
+    node (i, j) has its x-neighbours at k +- 1 and its y-neighbours at
+    k +- (nx + 2), so one contiguous range of ``out=`` ufuncs updates
+    whole y-levels, face nodes included.  The range also takes in the
+    ghost columns between levels; their results are never kept, since the
+    refresh overwrites them.  Each node keeps the operations of the
+    per-node formula in their order,
 
         lap  = ((E - c) - (c - W))/hx^2 + ((N - c) - (c - S))/hy^2
         W'   = (-2 c)(1 - c c)
         unew = c + dt (lap - W'/eps^2)
 
     with ``E - c`` and ``c - W`` (likewise ``N - c`` and ``c - S``) read
-    from one array of neighbour differences, and W' evaluated only where
-    it is read: on the core here, and on the zero-flux face lines.
+    from one array of neighbour differences.  At a zero-flux face the
+    mirrored ghost makes ``c - S`` the exact negation of ``N - c``, so
+    ``(N - c) - (c - S)`` is exactly the face formula's ``2 (N - c)`` and
+    the face needs no code of its own.  Two cases keep a formula of their
+    own, recomputed in Python floats: a corner owned by a
+    zero-flux face whose neighbour face does not mirror (the tangential
+    term is the 4-point one-sided second derivative, or the 3-point one
+    on a line of 3 nodes), and a zero-flux line of fewer than 3 nodes (no
+    tangential term).  Dynamic and frozen faces are then written as
+    lines in reverse ownership precedence (left, top, right, bottom), so
+    the owner writes a shared corner last.
+
+    **The band.**  The kernel keeps a range [lo, hi) of y-levels: every
+    level below it is exactly v_lo and every level from hi up exactly
+    v_hi, with v_lo and v_hi in {-1, +1}.  The sweep and the bound check
+    cover only the band.  This is exact: for c = v with equal neighbours
+    every IEEE operation above returns c (the differences are +0,
+    W' = -+0, (+0) - (-+0) = +0, c + 0 = c); the dynamic law gives
+    u0 - (dt sigma)(-0) = u0, the frozen law copies, and the corner
+    formulas give 0.  So a skipped level holds what a full sweep would
+    write, and every output is the one a full sweep gives, bit for bit.
+    One scan finds the band when the kernel meets an input that is not
+    one of its buffers.  Before each later step the band takes in one
+    more level at each edge whose edge level is no longer all v, which
+    keeps the edge levels themselves at v: information crosses one level
+    per step.  The face stencils reach up to `_FACE_REACH` levels across
+    (the dynamic law's 3-point slope, the 4-point corner formula), so an
+    edge of the band is either the edge of the grid or at least that far
+    from it.  The band only grows.
     """
 
     def __init__(self, state: PhaseState):
@@ -245,9 +293,9 @@ class _StepKernel:
             for f in (Face.LEFT, Face.TOP, Face.RIGHT, Face.BOTTOM)
             if f in g.active_faces()
         ]
-        self._bufs = (np.empty((g.nx, g.ny)), np.empty((g.nx, g.ny)))
-        self._abs = np.empty((g.nx, g.ny))
         if self.is_1d:
+            self._bufs = (np.empty((g.nx, 1)), np.empty((g.nx, 1)))
+            self._abs = np.empty((g.nx, 1))
             # per input buffer: (input column, its interior, output column,
             # its interior, output array); a foreign input writes to buffer 0
             c0, c1 = (b[:, 0] for b in self._bufs)
@@ -259,11 +307,26 @@ class _StepKernel:
             self._ends = [self._end_plan(f) for f, _ in self.face_plan]
             self._dt = None
         else:
-            # flat interior range and its x / y neighbour-difference buffers
-            self._lo, self._hi = g.ny + 1, g.nx * g.ny - g.ny - 1
-            m = max(self._hi - self._lo, 0)
-            self._dx, self._dy = np.empty(m + g.ny), np.empty(m + 1)
+            w = g.nx + 2
+            # the padded corners are read only into discarded ghost-column
+            # results; zeros keep that arithmetic free of overflow warnings
+            self._bufs = (np.zeros((g.ny + 2, w)), np.zeros((g.ny + 2, w)))
+            self._fields = tuple(b[1:-1, 1:-1].T for b in self._bufs)
+            self._ghosts = tuple(
+                [
+                    (b[1:-1, 0], b[1:-1, 2]),
+                    (b[1:-1, -1], b[1:-1, -3]),
+                    (b[0, 1:-1], b[2, 1:-1]),
+                    (b[-1, 1:-1], b[-3, 1:-1]),
+                ]
+                for b in self._bufs
+            )
+            # the flat range of the whole grid, and its work arrays
+            m = (g.ny - 1) * w + g.nx
+            self._abs, self._dx, self._dy = np.empty(m), np.empty(m + 1), np.empty(m + w)
             self._faces = [self._face_plan_2d(f, law) for f, law in self.face_plan]
+            self._band = None
+            self._out = None
 
     def _end_plan(self, face: Face):
         """(node, first inward, second inward or None, law kind, sigma) of
@@ -276,61 +339,101 @@ class _StepKernel:
 
     def _face_plan_2d(self, face: Face, law: BoundaryLaw):
         """(law kind, face line, inward lines, normal spacing, sigma or the
-        zero-flux plan) of a 2D face, resolved once."""
+        zero-flux corner plans) of a 2D face, resolved once."""
         g = self.grid
         i0, i1, i2, h = g.inward_lines(face)
         extra = law.sigma if isinstance(law, Dynamic) else None
         if isinstance(law, NeumannZeroFlux):
-            # tangential spacing, whether the face at each end of the line
-            # mirrors across the shared corner, and line work buffers
-            along_x = face in (Face.BOTTOM, Face.TOP)
-            h_t2, n = (self.hx2, g.nx) if along_x else (self.hy2, g.ny)
-            ends = (Face.LEFT, Face.RIGHT) if along_x else (Face.BOTTOM, Face.TOP)
-            mirrored = tuple(isinstance(self.laws[f], NeumannZeroFlux) for f in ends)
-            extra = (h * h, h_t2, mirrored, np.empty((3, n)), np.zeros(n))
+            extra = self._corner_plans(face, h * h)
         return type(law), i0, i1, i2, h, extra
 
-    def _target(self, u: np.ndarray) -> np.ndarray:
-        """The work buffer that `u` is not."""
-        return self._bufs[1] if u is self._bufs[0] else self._bufs[0]
+    def _corner_plans(self, face: Face, h_n2: float):
+        """The corners of a zero-flux face that the flat sweep gets wrong:
+        those it owns where the line has fewer than 3 nodes or the
+        neighbour face does not mirror.  Each plan is (node, first node
+        inward across the face, the next nodes inward along the face,
+        tangential spacing squared); no nodes along means no tangential
+        term."""
+        g = self.grid
+        along_x = face.axis == 0
+        n, h_t2 = (g.nx, self.hx2) if along_x else (g.ny, self.hy2)
+        if along_x:
+            j, j_in = (0, 1) if face is Face.BOTTOM else (g.ny - 1, g.ny - 2)
+            node, inward = (lambda k: (k, j)), (lambda k: (k, j_in))
+        else:
+            i, i_in = (0, 1) if face is Face.LEFT else (g.nx - 1, g.nx - 2)
+            node, inward = (lambda k: (i, k)), (lambda k: (i_in, k))
+        ends = (Face.LEFT, Face.RIGHT) if along_x else (Face.BOTTOM, Face.TOP)
+        plans = []
+        for end, step_in, other in ((0, 1, ends[0]), (n - 1, -1, ends[1])):
+            if FACE_PRECEDENCE.index(other) < FACE_PRECEDENCE.index(face):
+                continue  # the other face writes this corner last
+            mirrored = isinstance(self.laws[other], NeumannZeroFlux)
+            if n >= 3 and mirrored:
+                continue  # the ghost mirror gives the face formula exactly
+            reach = 0 if n < 3 else min(n - 1, 3)
+            along = tuple(node(end + k * step_in) for k in range(1, reach + 1))
+            plans.append((node(end), inward(end), along, h_n2, h_t2))
+        return plans
 
-    # -- face pieces -----------------------------------------------------
+    # -- the band ----------------------------------------------------------
 
-    def _neumann_face(self, fv, inner, plan, dt: float, out) -> None:
-        """Zero-flux face: mirrored normal second difference plus the
-        tangential second derivative along the face, into ``out``."""
-        h_n2, h_t2, mirrored, (lap, w, q), tang = plan
-        n = tang.size
-        np.subtract(inner, fv, out=lap)
-        np.multiply(lap, 2.0, out=lap)
-        np.divide(lap, h_n2, out=lap)
-        if n >= 3:
-            # tang stays zero on lines of two nodes; q holds the differences
-            diff = q[:-1]
-            np.subtract(fv[1:], fv[:-1], out=diff)
-            np.subtract(diff[1:], diff[:-1], out=tang[1:-1])
-            np.divide(tang[1:-1], h_t2, out=tang[1:-1])
-            for end, inward, mirror in ((0, 1, mirrored[0]), (-1, -1, mirrored[1])):
-                # the line read from this end inward, as Python floats
-                o0, o1, o2 = (fv.item(end + k * inward) for k in range(3))
-                if mirror:
-                    # the adjacent face mirrors across the corner
-                    tang[end] = 2.0 * (o1 - o0) / h_t2
-                elif n >= 4:
-                    o3 = fv.item(end + 3 * inward)
-                    tang[end] = one_sided_second(o0, o1, o2, o3, h_t2)
-                else:
-                    tang[end] = ((o2 - o1) - (o1 - o0)) / h_t2
-        # fv + dt*((lap + tang) - W'(fv)/eps^2), W' = (-2 fv)(1 - fv fv)
-        np.multiply(fv, fv, out=q)
-        np.subtract(1.0, q, out=q)
-        np.multiply(fv, -2.0, out=w)
-        np.multiply(w, q, out=w)
-        np.multiply(w, self.inv_eps2, out=w)
-        np.add(lap, tang, out=lap)
-        np.subtract(lap, w, out=lap)
-        np.multiply(lap, dt, out=lap)
-        np.add(fv, lap, out=out)
+    def _load(self, u: np.ndarray) -> None:
+        """Copy a foreign field into both ghost-padded buffers and find its
+        band with one scan."""
+        np.copyto(self._fields[0], u)
+        for ghost, line in self._ghosts[0]:
+            np.copyto(ghost, line)
+        np.copyto(self._bufs[1], self._bufs[0])
+        ny, levels = self.grid.ny, self._bufs[0][1:-1, 1:-1]
+        runs = []
+        for side in (levels, levels[::-1]):
+            # the number of levels from this side that are all v = +-1
+            v = side.item(0, 0)
+            flat = (side == v).all(axis=1) if v in (-1.0, 1.0) else np.zeros(1, bool)
+            runs.append((v, ny if flat.all() else int(flat.argmin())))
+        (v_lo, below), (v_hi, above) = runs
+        if below == ny:
+            lo, hi = 0, ny  # all v: too rare to skip
+        else:
+            # keep the edge level itself at v (see the class docstring)
+            lo = below - 1 if below > _FACE_REACH else 0
+            hi = ny - above + 1 if above > _FACE_REACH else ny
+        self._set_band(lo, hi, v_lo, v_hi)
+
+    def _grow(self, s: int) -> None:
+        """Widen the band by one level at each edge where buffer ``s``,
+        the next input, is no longer all v."""
+        lo, hi, v_lo, v_hi = self._band
+        levels = self._bufs[s]
+        grown = (lo, hi)
+        if lo and (levels[lo + 1, 1:-1] != v_lo).any():
+            lo = lo - 1 if lo > _FACE_REACH else 0
+        if hi < self.grid.ny and (levels[hi, 1:-1] != v_hi).any():
+            hi = hi + 1 if hi < self.grid.ny - _FACE_REACH else self.grid.ny
+        if (lo, hi) != grown:
+            self._set_band(lo, hi, v_lo, v_hi)
+
+    def _set_band(self, lo: int, hi: int, v_lo: float, v_hi: float) -> None:
+        """Cut the views of the flat sweep over levels [lo, hi): from node
+        (0, lo) through node (nx - 1, hi - 1)."""
+        self._band = (lo, hi, v_lo, v_hi)
+        w = self.grid.nx + 2
+        k0, k1 = (lo + 1) * w + 1, hi * w + w - 1
+        m = k1 - k0
+        self._k0 = k0
+        flats = [b.reshape(-1) for b in self._bufs]
+        # per buffer: the band, and its x and y neighbour pairs
+        self._sweep = [
+            (f[k0:k1], f[k0:k1 + 1], f[k0 - 1:k1], f[k0:k1 + w], f[k0 - w:k1])
+            for f in flats
+        ]
+        dx, dy = self._dx[:m + 1], self._dy[:m + w]
+        # dx[s] = E - c at flat node k0 - 1 + s: (E - c) is dx[1:], (c - W)
+        # is dx[:m]; dy[s] = N - c at k0 - w + s: (N - c) is dy[w:], (c - S)
+        # is dy[:m].  tmp and wprime reuse them once they are read.
+        self._diffs = (dx, dy, dx[1:], dx[:m], dy[w:], dy[:m])
+        self._abs_band = self._abs[:m]
 
     # -- full update -------------------------------------------------------
 
@@ -377,45 +480,65 @@ class _StepKernel:
         return unew
 
     def _advance_2d(self, u: np.ndarray, dt: float) -> np.ndarray:
-        unew = self._target(u)
-        lo, hi = self._lo, self._hi
-        if hi > lo:
-            ny, m = self.grid.ny, hi - lo
-            uf = u.reshape(-1)
-            c = uf[lo:hi]
-            acc = unew.reshape(-1)[lo:hi]
-            dx, dy = self._dx, self._dy
-            # dx[s] = E - c at flat node lo - ny + s: (E - c) is dx[ny:],
-            # (c - W) is dx[:m]; dy likewise with the y-neighbours
-            np.subtract(uf[lo:hi + ny], uf[lo - ny:hi], out=dx)
-            np.subtract(dx[ny:], dx[:m], out=acc)
-            np.divide(acc, self.hx2, out=acc)
-            np.subtract(uf[lo:hi + 1], uf[lo - 1:hi], out=dy)
-            tmp, wprime = dx[:m], dy[:m]
-            np.subtract(dy[1:], wprime, out=tmp)
-            np.divide(tmp, self.hy2, out=tmp)
-            np.add(acc, tmp, out=acc)
-            np.multiply(c, c, out=tmp)
-            np.subtract(1.0, tmp, out=tmp)
-            np.multiply(c, -2.0, out=wprime)
-            np.multiply(wprime, tmp, out=wprime)
-            np.multiply(wprime, self.inv_eps2, out=wprime)
-            np.subtract(acc, wprime, out=acc)
-            np.multiply(acc, dt, out=acc)
-            np.add(c, acc, out=acc)
+        if u is self._fields[0] or u is self._fields[1]:
+            s = 0 if u is self._fields[0] else 1
+            self._grow(s)
+        else:
+            s = 0
+            self._load(u)
+            u = self._fields[0]
+        t = 1 - s
+        self._out = t
+        c, east, mid, north, south = self._sweep[s]
+        acc = self._sweep[t][0]
+        dx, dy, e_c, c_w, n_c, c_s = self._diffs
+        tmp, wprime = c_w, c_s
+        np.subtract(east, mid, out=dx)
+        np.subtract(e_c, c_w, out=acc)
+        np.divide(acc, self.hx2, out=acc)
+        np.subtract(north, south, out=dy)
+        np.subtract(n_c, c_s, out=tmp)
+        np.divide(tmp, self.hy2, out=tmp)
+        np.add(acc, tmp, out=acc)
+        np.multiply(c, c, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        np.multiply(c, -2.0, out=wprime)
+        np.multiply(wprime, tmp, out=wprime)
+        np.multiply(wprime, self.inv_eps2, out=wprime)
+        np.subtract(acc, wprime, out=acc)
+        np.multiply(acc, dt, out=acc)
+        np.add(c, acc, out=acc)
 
+        unew = self._fields[t]
         for kind, i0, i1, i2, h, extra in self._faces:
-            out = unew[i0]
             if kind is DirichletFrozen:
-                np.copyto(out, u[i0])
+                np.copyto(unew[i0], u[i0])
             elif kind is Dynamic:
                 inward = inward_slope(
                     u[i0], u[i1], None if i2 is None else u[i2], h
                 )
-                np.subtract(u[i0], (dt * extra) * -inward, out=out)
+                np.subtract(u[i0], (dt * extra) * -inward, out=unew[i0])
             else:
-                self._neumann_face(u[i0], u[i1], extra, dt, out)
+                for node, inner, along, h_n2, h_t2 in extra:
+                    self._corner(u, unew, node, inner, along, h_n2, h_t2, dt)
+        for ghost, line in self._ghosts[t]:
+            np.copyto(ghost, line)
         return unew
+
+    def _corner(self, u, unew, node, inner, along, h_n2, h_t2, dt) -> None:
+        """The zero-flux face formula at one corner, in Python floats:
+        mirrored normal second difference plus the tangential term."""
+        c0 = u.item(node)
+        o = [u.item(p) for p in along]
+        if len(o) == 3:
+            tang = one_sided_second(c0, o[0], o[1], o[2], h_t2)
+        elif o:
+            tang = ((o[1] - o[0]) - (o[0] - c0)) / h_t2
+        else:
+            tang = 0.0
+        lap = (u.item(inner) - c0) * 2.0 / h_n2
+        wprime = c0 * -2.0 * (1.0 - c0 * c0) * self.inv_eps2
+        unew[node] = c0 + ((lap + tang) - wprime) * dt
 
     def advance(self, u: np.ndarray, dt: float) -> np.ndarray:
         if self.is_1d:
@@ -423,16 +546,44 @@ class _StepKernel:
         return self._advance_2d(u, dt)
 
     def check(self, unew: np.ndarray, init_bounded: bool, t: float) -> None:
-        """One reduction of |unew|: argmax lands on the first NaN if there
-        is one, so a NaN or Inf anywhere makes the maximum non-finite."""
-        a = np.abs(unew, out=self._abs)
-        m = a.item(a.argmax())
+        """One reduction of |unew| over the band: argmax lands on the first
+        NaN if there is one, so a NaN or Inf anywhere makes the maximum
+        non-finite.  The message names the node and its face."""
+        if self.is_1d:
+            a = np.abs(unew, out=self._abs)
+        else:
+            a = np.abs(self._sweep[self._out][0], out=self._abs_band)
+        k = a.argmax()
+        m = a.item(k)
         if not math.isfinite(m):
-            raise DivergenceError(f"NaN/Inf detected during the step at t={t:.6g}")
+            raise DivergenceError(
+                f"NaN/Inf detected during the step at t={t:.6g}, {self._site(k)}"
+            )
         if init_bounded and m > 1.0 + MAX_PRINCIPLE_SLACK:
             raise DivergenceError(
-                f"maximum principle violated: max|u| = {m:.15g} at t={t:.6g}"
+                f"maximum principle violated: max|u| = {m:.15g} at t={t:.6g}, "
+                f"{self._site(k)}"
             )
+
+    def _site(self, k: int) -> str:
+        """The node behind flat index ``k`` of the checked block, and its
+        face; a ghost entry names the node it mirrors, and a corner the
+        face that owns it."""
+        g = self.grid
+        if self.is_1d:
+            i, j = int(k), 0
+        else:
+            row, col = divmod(self._k0 + int(k), g.nx + 2)
+            i, j = {0: 1, g.nx + 1: g.nx - 2}.get(col, col - 1), row - 1
+        on_face = {
+            Face.BOTTOM: j == 0,
+            Face.RIGHT: i == g.nx - 1,
+            Face.TOP: j == g.ny - 1,
+            Face.LEFT: i == 0,
+        }
+        face = next((f for f in g.active_faces() if on_face[f]), None)
+        where = "in the interior" if face is None else f"on the {face.value} face"
+        return f"node ({i}, {j}) {where}"
 
 
 def step(state: PhaseState, dt: float) -> PhaseState:
@@ -449,8 +600,9 @@ def step(state: PhaseState, dt: float) -> PhaseState:
         raise StabilityError(f"dt={dt:.3e} exceeds the stable bound {bound:.3e}")
     kernel = _StepKernel(state)
     u = state.u.values
-    unew = kernel.advance(u, dt)
-    kernel.check(unew, state.init_bounded, state.t)
+    out = kernel.advance(u, dt)
+    kernel.check(out, state.init_bounded, state.t)
+    unew = out.copy()
     dudt = (unew - u) / dt
     return PhaseState(
         u=ScalarField2D(state.grid, unew),

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from phaselab.errors import ConfigurationError, DivergenceError
 from phaselab.grid import Face, Grid2D, ScalarField2D
 from phaselab.lab import cli, experiments
-from phaselab.lab.catalog import scalar_field_from_spec, vector_field_from_spec
+from phaselab.lab.catalog import (
+    DEFAULT_SWEEP_FIELDS,
+    scalar_field_from_spec,
+    vector_field_from_spec,
+)
 from phaselab.lab.config import (
     LAW_NAMES,
     MODES,
@@ -225,8 +229,8 @@ _SPEC_KEYS = {
     "dilation": ("cx", "cy", "wx", "wy"),
 }
 _specs = st.sampled_from(sorted(_SPEC_KEYS)).flatmap(
-    lambda name: st.lists(
-        _finite(), min_size=len(_SPEC_KEYS[name]), max_size=len(_SPEC_KEYS[name])
+    lambda name: st.tuples(
+        *(_positive if k.startswith("w") else _finite() for k in _SPEC_KEYS[name])
     ).map(
         lambda vals: name
         + ":"
@@ -348,6 +352,57 @@ class TestCatalog:
     def test_missing_parameter_named(self, from_spec, spec, key):
         with pytest.raises(ConfigurationError, match=f"needs parameter {key!r}"):
             from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "from_spec, spec, problem, key",
+        [
+            (vector_field_from_spec, "xbump:cx=0.2,w=-0.5", "nonpositive", "w"),
+            (vector_field_from_spec, "ybump:cy=0.2,w=0", "nonpositive", "w"),
+            (vector_field_from_spec, "bump:cx=0,cy=0,wx=1,wy=-1", "nonpositive", "wy"),
+            (vector_field_from_spec, "dilation:cx=1,cy=0,wx=0,wy=1", "nonpositive", "wx"),
+            (scalar_field_from_spec, "gauss:cx=0,cy=0,s=-2", "nonpositive", "s"),
+            (vector_field_from_spec, "xbump:cx=nan,w=0.8", "non-finite", "cx"),
+            (vector_field_from_spec, "const:dx=inf", "non-finite", "dx"),
+            (vector_field_from_spec, "xbump:cx=0.2,w=nan", "non-finite", "w"),
+            (
+                scalar_field_from_spec,
+                "plateau:xlo=0,xhi=1,xroll=-0.1,ylo=0,yhi=1",
+                "negative",
+                "xroll",
+            ),
+            (
+                scalar_field_from_spec,
+                "plateau:xlo=0,xhi=1,ylo=0,yhi=1,yroll=-1",
+                "negative",
+                "yroll",
+            ),
+            (vector_field_from_spec, "const:dx=1,dz=2", "unknown", "dz"),
+            (vector_field_from_spec, "xbump:cx=0.2,w=0.8,cy=1", "unknown", "cy"),
+            (scalar_field_from_spec, "one:a=1", "unknown", "a"),
+            (vector_field_from_spec, "xbump:cx=0.2,cx=0.3,w=0.8", "repeated", "cx"),
+            (scalar_field_from_spec, "gauss:cx=0,cy=0,s=1,s=1", "repeated", "s"),
+        ],
+    )
+    def test_misread_parameter_refused(self, from_spec, spec, problem, key):
+        # each of these once built a different field from the one written,
+        # silently: a nonpositive width reads as an unbounded plateau
+        with pytest.raises(ConfigurationError) as err:
+            from_spec(spec)
+        assert str(err.value) == f"test field {spec!r} has {problem} parameter {key!r}"
+
+    def test_zero_roll_accepted(self):
+        phi = scalar_field_from_spec("plateau:xlo=0,xhi=1,xroll=0,ylo=0,yhi=1,yroll=0")
+        assert phi.value(np.array([0.5]), np.array([0.5]))[0] == 1.0
+
+    def test_default_and_shipped_specs_parse(self):
+        shipped = [
+            spec
+            for path in sorted(Path(__file__).resolve().parents[1].glob("configs/*.ini"))
+            for spec in parse_config(path).experiment.test_fields
+        ]
+        assert shipped and DEFAULT_SWEEP_FIELDS
+        for spec in (*DEFAULT_SWEEP_FIELDS, *shipped):
+            assert vector_field_from_spec(spec).name == spec
 
 
 class TestExtraction:
@@ -537,6 +592,25 @@ class TestCli:
         cfgf.write_text(text, "utf-8")
         assert cli.main(["sweep-sigma", "--config", str(cfgf), "--quiet"]) == 2
         assert "needs parameter 'w'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("xbump:cx=0.2,w=-0.5", "has nonpositive parameter 'w'"),
+            ("const:dx=1,dz=2", "has unknown parameter 'dz'"),
+        ],
+    )
+    def test_misread_test_field_exit_2_writes_nothing(self, tmp_path, capsys, spec, message):
+        cfgf = tmp_path / "sweep.ini"
+        out = tmp_path / "o"
+        text = ARC_2D.format(out=out).replace(
+            "mode = run",
+            f"mode = sweep-sigma\nsigma_list = 1.0, 0.5\ntest_fields = {spec}",
+        )
+        cfgf.write_text(text, "utf-8")
+        assert cli.main(["sweep-sigma", "--config", str(cfgf), "--quiet"]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_exit_2(self, tmp_path):

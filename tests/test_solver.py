@@ -1,8 +1,11 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselab.errors import ConfigurationError, DivergenceError, StabilityError
 from phaselab import solver
@@ -392,6 +395,17 @@ class TestDivergenceCheck1D:
         rec = run(st, 5 * stable_dt(st), observer_cadence=2)
         assert rec.series("max_abs_u")[-1] > 1.0 + 1e-12
 
+    def test_nan_names_end_node_and_face(self):
+        u = np.tanh((grid_1d(41).x() - 0.4) / 0.1)[:, None]
+        u[0, 0] = np.nan
+        st = PhaseState(
+            ScalarField2D(grid_1d(41), u), 0.0, 0.1, laws_1d("dirichlet", "neumann")
+        )
+        with pytest.raises(
+            DivergenceError, match=r"at t=0, node \(0, 0\) on the left face$"
+        ):
+            step(st, stable_dt(st))
+
     def test_bounded_state_above_one_names_max_and_time(self):
         g = grid_1d(51)
         st = PhaseState(ScalarField2D.full(g, 1.2), 0.25, 0.1, neumann_laws())
@@ -436,6 +450,20 @@ def smooth_state_2d(mix, nx=9, ny=7, sign=1.0):
         g, lambda x, y: sign * np.tanh((x - 0.45 + 0.5 * (y - 0.3)) / 0.3)
     )
     return PhaseState(u, 0.0, 0.15, laws_2d(mix))
+
+
+def saturated_state_2d(mix, nx=9, ny=21, sign=1.0):
+    """A thin layer across the middle: tanh is exactly sign below y = 0.2
+    and exactly -sign above y = 0.8, so the kernel's band leaves the
+    bottom and top levels out."""
+    g = Grid2D.from_extents(0.0, 1.0, 0.0, 1.0, nx, ny)
+    u = ScalarField2D.from_function(
+        g, lambda x, y: sign * np.tanh((0.5 + 0.05 * (x - 0.5) - y) / 0.015)
+    )
+    return PhaseState(u, 0.0, 0.015, laws_2d(mix))
+
+
+STATES_2D = {"smooth": smooth_state_2d, "saturated": saturated_state_2d}
 
 
 def _ref_inward_lines(u, face):
@@ -525,18 +553,157 @@ def test_2d_advance_matches_reference_bit_exactly(nx, ny):
             assert u.tobytes() == ref.tobytes(), mix
 
 
+def saturated_levels(u, v):
+    """(levels from the bottom, levels from the top) that are all v."""
+    flat = np.all(u == v, axis=0)
+    return int(np.argmin(flat)), int(np.argmin(flat[::-1]))
+
+
+@st.composite
+def saturated_cases(draw):
+    """A grid, a law mix and random data whose bottom and top levels are
+    exactly +-1, between none and all of them."""
+    nx, ny = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    mix = tuple(draw(st.sampled_from(sorted(LAWS_2D))) for _ in range(4))
+    below = draw(st.integers(0, ny))
+    above = draw(st.integers(0, ny - below))
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1, 1, (nx, ny))
+    u[:, :below] = draw(st.sampled_from([-1.0, 1.0]))
+    u[:, ny - above:] = draw(st.sampled_from([-1.0, 1.0]))
+    eps = draw(st.sampled_from([0.3, 0.05]))
+    return PhaseState(ScalarField2D(grid_2d(nx, ny), u), 0.0, eps, laws_2d(mix))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st_=saturated_cases(), steps=st.integers(8, 16))
+def test_2d_advance_matches_reference_with_saturated_levels(st_, steps):
+    # the band skips exactly saturated levels; the reference sweeps all
+    dt = stable_dt(st_)
+    kernel = solver._StepKernel(st_)
+    u = ref = st_.u.values
+    for _ in range(steps):
+        u = kernel.advance(u, dt)
+        ref = reference_advance_2d(st_, ref, dt)
+        assert u.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("mix", MIXES_2D)
+def test_band_grows_as_a_layer_diffuses_into_saturated_levels(mix):
+    # a sharp step between +1 and -1 levels spreads into a layer of width
+    # eps: the saturated levels on both sides lose their +-1 one by one
+    g = Grid2D.from_extents(0.0, 1.0, 0.0, 1.0, 13, 41)
+    x, y = g.meshgrid()
+    u0 = np.where(y < 0.5 + 0.05 * np.cos(6 * x), 1.0, -1.0)
+    st_ = PhaseState(ScalarField2D(g, u0), 0.0, 0.2, laws_2d(mix))
+    dt = stable_dt(st_)
+    kernel = solver._StepKernel(st_)
+    u = ref = st_.u.values
+    bands = []
+    for _ in range(200):
+        u = kernel.advance(u, dt)
+        # finite only: the dynamic face stencil is not monotone, so a
+        # saturated dynamic face can overshoot 1 (ROADMAP item 1)
+        kernel.check(u, False, 0.0)
+        ref = reference_advance_2d(st_, ref, dt)
+        assert u.tobytes() == ref.tobytes()
+        bands.append(kernel._band[:2])
+        # every level outside the band is exactly the saturated value
+        lo, hi = bands[-1]
+        assert saturated_levels(u, 1.0)[0] >= lo
+        assert saturated_levels(u, -1.0)[1] >= g.ny - hi
+    (lo0, hi0), (lo, hi) = bands[0], bands[-1]
+    assert 0 < lo0 and hi0 < g.ny
+    assert lo < lo0 and hi > hi0
+
+
+@pytest.mark.parametrize("state", sorted(STATES_2D))
+@pytest.mark.parametrize("mix", MIXES_2D)
+def test_poisoned_work_buffers_do_not_reach_the_output(state, mix):
+    # the padded corners are read only into discarded results, and the
+    # difference and check buffers are written before they are read
+    st_ = STATES_2D[state](mix)
+    kernel = solver._StepKernel(st_)
+    for a in (*kernel._bufs, kernel._abs, kernel._dx, kernel._dy):
+        a.fill(np.nan)
+    dt = stable_dt(st_)
+    u = ref = st_.u.values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(12):
+            u = kernel.advance(u, dt)
+            kernel.check(u, True, 0.0)
+            ref = reference_advance_2d(st_, ref, dt)
+            assert u.tobytes() == ref.tobytes()
+
+
+def kernel_arrays(kernel):
+    """Every numpy array a kernel holds, in its attributes and in the
+    tuples and lists among them."""
+    found, todo = [], list(vars(kernel).values())
+    while todo:
+        a = todo.pop()
+        if isinstance(a, np.ndarray):
+            found.append(a)
+        elif isinstance(a, (tuple, list)):
+            todo.extend(a)
+    return found
+
+
+class TestDivergenceCheck2D:
+    """A NaN spreads to the four neighbours of its node in one step, and
+    the check names the first NaN in its y-major scan of the result."""
+
+    def nan_state(self, node):
+        st_ = smooth_state_2d(("neumann",) * 4)
+        u = st_.u.values.copy()
+        u[node] = np.nan
+        return PhaseState(ScalarField2D(st_.grid, u), 0.0, st_.eps, st_.laws)
+
+    @pytest.mark.parametrize(
+        "node, named",
+        [
+            ((4, 3), "node (4, 2) in the interior"),
+            ((4, 0), "node (3, 0) on the bottom face"),
+            ((8, 6), "node (8, 5) on the right face"),
+            ((0, 6), "node (0, 5) on the left face"),
+            ((8, 5), "node (8, 4) on the right face"),
+            # first in the scan is the ghost entry left of level 2, which
+            # mirrors (1, 2)
+            ((1, 3), "node (1, 2) in the interior"),
+        ],
+    )
+    def test_nan_names_node_and_face(self, node, named):
+        st_ = self.nan_state(node)
+        with pytest.raises(DivergenceError) as err:
+            step(st_, stable_dt(st_))
+        assert str(err.value) == f"NaN/Inf detected during the step at t=0, {named}"
+
+    def test_corner_names_its_owner(self):
+        g = grid_2d(9, 7)
+        u = np.full((9, 7), 0.5)
+        u[0, 0] = 1.5
+        laws = laws_2d(("dirichlet",) * 4)
+        st_ = PhaseState(ScalarField2D(g, u), 0.25, 0.15, laws)
+        with pytest.raises(
+            DivergenceError,
+            match=r"max\|u\| = 1\.5 at t=0\.25, node \(0, 0\) on the bottom face$",
+        ):
+            step(st_, stable_dt(st_))
+
+
 @pytest.mark.parametrize("mix", MIXES_2D)
 class TestKernel2D:
     """The 2D kernel under face-law mixes; as in `TestFaceLaws1D` the last
     step is short and the final snapshot falls off-cadence."""
 
     cadence = 6
+    make_state = staticmethod(smooth_state_2d)
 
     def t_end(self, st):
         return 20.5 * stable_dt(st)
 
     def test_run_matches_repeated_step_bit_exactly(self, mix):
-        st = smooth_state_2d(mix)
+        st = self.make_state(mix)
         t_end = self.t_end(st)
         rec = run(st, t_end, observer_cadence=self.cadence)
         dt = stable_dt(st)
@@ -552,8 +719,8 @@ class TestKernel2D:
             assert snap.state.dudt.values.tobytes() == ref.dudt.values.tobytes()
 
     def test_negation_symmetry_bit_exact(self, mix):
-        st = smooth_state_2d(mix)
-        neg = smooth_state_2d(mix, sign=-1.0)
+        st = self.make_state(mix)
+        neg = self.make_state(mix, sign=-1.0)
         t_end = self.t_end(st)
         a = run(st, t_end, observer_cadence=self.cadence)
         b = run(neg, t_end, observer_cadence=self.cadence)
@@ -566,7 +733,7 @@ class TestKernel2D:
             assert np.array_equal(st.u.values, -neg.u.values)
             assert np.array_equal(st.dudt.values, -neg.dudt.values)
 
-    def test_snapshots_share_no_memory_with_work_buffers(self, mix, monkeypatch):
+    def spy_kernels(self, monkeypatch):
         kernels = []
 
         class SpyKernel(solver._StepKernel):
@@ -575,12 +742,19 @@ class TestKernel2D:
                 kernels.append(self)
 
         monkeypatch.setattr(solver, "_StepKernel", SpyKernel)
-        st = smooth_state_2d(mix)
+        return kernels
+
+    def test_snapshots_share_no_memory_with_work_buffers(self, mix, monkeypatch):
+        kernels = self.spy_kernels(monkeypatch)
+        st = self.make_state(mix)
         u0 = st.u.values.copy()
         rec = run(st, self.t_end(st), observer_cadence=self.cadence)
         assert np.array_equal(st.u.values, u0)
         (kernel,) = kernels
+        # the padded buffers (the fields handed out are views of them),
+        # the check buffer and the two difference buffers
         work = [*kernel._bufs, kernel._abs, kernel._dx, kernel._dy]
+        assert all(any(np.shares_memory(a, w) for w in work) for a in kernel_arrays(kernel))
         kept = [st.u.values]
         for snap in rec.snapshots[1:]:
             kept += [snap.state.u.values, snap.state.dudt.values]
@@ -588,8 +762,16 @@ class TestKernel2D:
             for b in kept[i + 1:] + work:
                 assert not np.shares_memory(a, b)
 
+    def test_step_shares_no_memory_with_its_kernel(self, mix, monkeypatch):
+        kernels = self.spy_kernels(monkeypatch)
+        st = self.make_state(mix)
+        out = step(st, stable_dt(st))
+        (kernel,) = kernels
+        for a in (out.u.values, out.dudt.values):
+            assert not any(np.shares_memory(a, w) for w in kernel_arrays(kernel))
+
     def test_advance_allocates_no_grid_array(self, mix):
-        st = smooth_state_2d(mix, nx=64, ny=32)
+        st = self.make_state(mix, nx=64, ny=32)
         kernel = solver._StepKernel(st)
         dt = stable_dt(st)
         u = kernel.advance(kernel.advance(st.u.values, dt), dt)
@@ -602,3 +784,10 @@ class TestKernel2D:
         finally:
             tracemalloc.stop()
         assert peak - base < 64 * 32 * 8
+
+
+class TestKernel2DSaturated(TestKernel2D):
+    """The same checks on a state whose bottom and top levels are exactly
+    +-1, which the kernel's band leaves out of the sweep."""
+
+    make_state = staticmethod(saturated_state_2d)
