@@ -1,8 +1,11 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: configuration problems exit with 2,
-numerical divergence (NaN, stability or maximum-principle violations)
-with 3, failed acceptance checks in ``report`` with 4.
+Exit-code mapping used by the CLI: configuration problems and the other
+refusals exit with 2, among them a dt above the stable bound
+(`StabilityError`), which is refused before the march, so nothing is
+written; numerical divergence during a run (NaN/Inf, energy growth or a
+maximum-principle violation) exits with 3; failed acceptance checks in
+``report`` exit with 4.
 """
 
 
@@ -15,7 +18,7 @@ class ConfigurationError(PhaseLabError):
 
 
 class StabilityError(PhaseLabError):
-    """Requested time step exceeds the stable bound."""
+    """Requested time step exceeds the stable bound (CLI exit code 2)."""
 
 
 class DivergenceError(PhaseLabError):

@@ -23,7 +23,7 @@ Face values come from `Grid2D.face_slice`, their quadrature weights from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -87,9 +87,6 @@ class Grid2D:
     hx: float
     hy: float
     origin: tuple[float, float] = (0.0, 0.0)
-    face_tags: tuple[tuple[Face, str], ...] = field(
-        default=tuple((f, f.value) for f in FACE_PRECEDENCE)
-    )
 
     def __post_init__(self) -> None:
         if self.nx < 2:
@@ -98,9 +95,6 @@ class Grid2D:
             raise ConfigurationError(f"ny must be >= 1, got {self.ny}")
         if not (self.hx > 0 and self.hy > 0):
             raise ConfigurationError("grid spacings must be positive")
-        tagged = {f for f, _ in self.face_tags}
-        if tagged != set(Face):
-            raise ConfigurationError("every face needs exactly one tag")
 
     @classmethod
     def from_extents(
@@ -111,7 +105,6 @@ class Grid2D:
         y1: float,
         nx: int,
         ny: int,
-        face_tags: dict[Face, str] | None = None,
     ) -> "Grid2D":
         if x1 <= x0:
             raise ConfigurationError("x extent must satisfy x1 > x0")
@@ -122,10 +115,7 @@ class Grid2D:
             if y1 <= y0:
                 raise ConfigurationError("y extent must satisfy y1 > y0")
             hy = (y1 - y0) / (ny - 1)
-        tags = tuple(
-            (f, (face_tags or {}).get(f, f.value)) for f in FACE_PRECEDENCE
-        )
-        return cls(nx=nx, ny=ny, hx=hx, hy=hy, origin=(x0, y0), face_tags=tags)
+        return cls(nx=nx, ny=ny, hx=hx, hy=hy, origin=(x0, y0))
 
     # -- geometry -----------------------------------------------------------
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from ..errors import ConfigurationError, DivergenceError, PhaseLabError
 from . import experiments
-from .config import parse_config
+from .config import parse_config, with_mode
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,10 +71,7 @@ def main(argv=None) -> int:
                 config, output=replace(config.output, dump_fields=True)
             )
         mode_arg = args.command
-        if config.experiment.mode != mode_arg:
-            config = replace(
-                config, experiment=replace(config.experiment, mode=mode_arg)
-            )
+        config = with_mode(config, mode_arg)
 
         out_dir = Path(config.output.dir)
         if mode_arg == "run":

@@ -227,10 +227,6 @@ def parse_config_text(text: str) -> RunConfig:
     sigma_list = need(
         "experiment", "sigma_list", _float_list, default=(), required=False
     )
-    if mode == "sweep-eps" and not eps_list:
-        problems.append("experiment.eps_list required (nonempty) in sweep-eps mode")
-    if mode == "sweep-sigma" and not sigma_list:
-        problems.append("experiment.sigma_list required (nonempty) in sweep-sigma mode")
     for val in eps_list or ():
         if not (0.0 < val < 1.0):
             problems.append(f"experiment.eps_list entry out of (0,1): {val}")
@@ -258,18 +254,7 @@ def parse_config_text(text: str) -> RunConfig:
         required=False,
     )
 
-    if mode == "arc-benchmark":
-        if ny is not None and ny == 1:
-            problems.append("arc-benchmark needs a 2D grid (grid.ny > 1)")
-        if dict(laws).get(Face.BOTTOM) != "dynamic":
-            problems.append("arc-benchmark needs physics.bottom = dynamic")
-
-    if problems:
-        raise ConfigurationError(
-            "invalid configuration:\n  " + "\n  ".join(problems)
-        )
-
-    return RunConfig(
+    config = RunConfig(
         grid=GridConfig(x_min, x_max, y_min, y_max, nx, ny),
         physics=PhysicsConfig(eps=eps, laws=tuple(laws), sigma=sigma),
         initial=InitialConfig(kind=kind, params=tuple(init_params)),
@@ -287,6 +272,35 @@ def parse_config_text(text: str) -> RunConfig:
         output=OutputConfig(dir=out_dir, dump_fields=bool(dump)),
         source_text=text,
     )
+    _refuse(problems + _mode_problems(config))
+    return config
+
+
+def _mode_problems(config: RunConfig) -> list[str]:
+    """What the config's mode needs of the rest of it and does not find."""
+    ex, problems = config.experiment, []
+    if ex.mode == "sweep-eps" and not ex.eps_list:
+        problems.append("experiment.eps_list required (nonempty) in sweep-eps mode")
+    if ex.mode == "sweep-sigma" and not ex.sigma_list:
+        problems.append("experiment.sigma_list required (nonempty) in sweep-sigma mode")
+    if ex.mode == "arc-benchmark":
+        if config.grid.ny == 1:
+            problems.append("arc-benchmark needs a 2D grid (grid.ny > 1)")
+        if dict(config.physics.laws).get(Face.BOTTOM) != "dynamic":
+            problems.append("arc-benchmark needs physics.bottom = dynamic")
+    return problems
+
+
+def with_mode(config: RunConfig, mode: str) -> RunConfig:
+    """``config`` in ``mode``, refused as a config that names the mode is."""
+    config = replace(config, experiment=replace(config.experiment, mode=mode))
+    _refuse(_mode_problems(config))
+    return config
+
+
+def _refuse(problems: list[str]) -> None:
+    if problems:
+        raise ConfigurationError("invalid configuration:\n  " + "\n  ".join(problems))
 
 
 def parse_config(path: str | Path) -> RunConfig:

@@ -44,7 +44,7 @@ from .grid import (
     gradient,
     integrate_values,
 )
-from .solver import Dynamic, PhaseState, double_well
+from .solver import ENERGY_RISE_SLACK, Dynamic, PhaseState, double_well
 
 if TYPE_CHECKING:
     from .record import RunRecord, Snapshot
@@ -394,7 +394,7 @@ class AprioriReport:
 
     @property
     def energy_bounded_by_initial(self) -> bool:
-        return self.max_energy_excess <= 1e-10 * max(self.D0, 1.0)
+        return self.max_energy_excess <= ENERGY_RISE_SLACK * max(self.D0, 1.0)
 
 
 def apriori_report(record: "RunRecord") -> AprioriReport:

@@ -26,6 +26,11 @@ and the endpoint tangents on Python floats.  Every node gets the IEEE
 operations of the masked formula at the end of `curvature_vectors`, in
 that formula's order, so fronts are bit-identical to it; a step in which
 some triple is collinear or degenerate runs the masked formula itself.
+
+The tolerances are fixed constants, not settings: the step bound
+dt <= C_STAB * (shortest segment)^2 and the collapse length COLLAPSE_TOL,
+both checked by `_front_bound`; THETA_TOL, below which T_y of the unit
+contact tangent is tangential; and GRADE_RATIO of `make_arc_front`.
 """
 
 from __future__ import annotations
@@ -48,6 +53,12 @@ DEFAULT_ORACLE_T_MAX = 0.45  # stay clear of the contact singularity at 1/2
 # an adaptive oracle step below this fraction of the first block's step
 # means the nodes bunch up faster than anything spreads them
 _ADAPTIVE_DT_FLOOR = 1e-4
+
+# the oracle's fixed tolerances (see the module docstring)
+C_STAB = 0.25
+COLLAPSE_TOL = 1e-12
+THETA_TOL = 1e-8
+GRADE_RATIO = 0.8
 
 # a triple is collinear when |d| <= _FLAT_TOL * max(|p|^2, |q|^2); a 0-d
 # array, so the buffered product skips a scalar conversion per call
@@ -210,17 +221,15 @@ def _graded_fractions(n: int, grade_count: int, ratio: float) -> np.ndarray:
     return f / f[-1]
 
 
-def make_arc_front(
-    sigma: float, n_nodes: int = 200, grade_count: int = 14, grade_ratio: float = 0.8
-) -> PolylineFront:
+def make_arc_front(sigma: float, n_nodes: int = 200, grade_count: int = 14) -> PolylineFront:
     """Initial attached front on the exact t = 0 arc, node spacing graded
-    geometrically toward both contacts to control the boundary-layer
-    error as the contact speed grows."""
+    geometrically (ratio `GRADE_RATIO`) toward both contacts to control
+    the boundary-layer error as the contact speed grows."""
     sol = arc_exact(sigma, 0.0)
     cx, cy = sol.center
     phi0 = math.atan2(0.0 - cy, sol.x0 - cx)  # left contact
     phi1 = math.atan2(0.0 - cy, sol.x1 - cx)  # right contact
-    fr = _graded_fractions(n_nodes, grade_count, grade_ratio)
+    fr = _graded_fractions(n_nodes, grade_count, GRADE_RATIO)
     phis = phi0 + (phi1 - phi0) * fr
     nodes = np.column_stack(
         [cx + sol.big_radius * np.cos(phis), cy + sol.big_radius * np.sin(phis)]
@@ -242,19 +251,17 @@ def make_circle_front(
     )
 
 
-def _endpoint_tangent(x0, y0, x1, y1, x2, y2, correct: bool) -> tuple[float, float]:
+def _endpoint_tangent(x0, y0, x1, y1, x2, y2) -> tuple[float, float]:
     """Tangent direction into the curve at endpoint (x0, y0), with
     (x1, y1) and (x2, y2) the next two nodes inward.
 
     The raw first-segment chord equals the true tangent rotated by half
     the local arc angle; measuring the turning between the first two
     chords and rotating back (arclength-weighted) removes that bias to
-    second order.  ``correct=False`` keeps the raw chord.
+    second order.
     """
     s0x = x1 - x0
     s0y = y1 - y0
-    if not correct:
-        return s0x, s0y
     s1x = x2 - x1
     s1y = y2 - y1
     delta = math.atan2(s0x * s1y - s0y * s1x, s0x * s1x + s0y * s1y)
@@ -280,15 +287,11 @@ class _FrontKernel:
     allocates nothing.
     """
 
-    def __init__(self, nodes, closed: bool, sigma: float = 1.0,
-                 attached: bool = False, theta_tol: float = 1e-8,
-                 tangent_correction: bool = True):
+    def __init__(self, nodes, closed: bool, sigma: float = 1.0, attached: bool = False):
         n = nodes.shape[0]
         self.closed = closed
         self.attached = attached
         self.sigma = sigma
-        self.theta_tol = theta_tol
-        self.tangent_correction = tangent_correction
         g = 1 if closed else 0
         m = n if closed else n - 2  # interior triples
         self.n, self.ghost = n, g
@@ -348,11 +351,10 @@ class _FrontKernel:
         if self.attached:
             (x0, x1, x2), (y0, y1, y2) = self.xy[:, :3].tolist()
             (e2, e1, e0), (f2, f1, f0) = self.xy[:, -3:].tolist()
-            correct = self.tangent_correction
-            t0x, t0y = _endpoint_tangent(x0, y0, x1, y1, x2, y2, correct)
-            t1x, t1y = _endpoint_tangent(e0, f0, e1, f1, e2, f2, correct)
-            tol = self.theta_tol
-            if t0y <= tol * math.hypot(t0x, t0y) or t1y <= tol * math.hypot(t1x, t1y):
+            t0x, t0y = _endpoint_tangent(x0, y0, x1, y1, x2, y2)
+            t1x, t1y = _endpoint_tangent(e0, f0, e1, f1, e2, f2)
+            if (t0y <= THETA_TOL * math.hypot(t0x, t0y)
+                    or t1y <= THETA_TOL * math.hypot(t1x, t1y)):
                 raise ContactSingularityError("tangential contact (theta -> 0)")
         np.multiply(self.kxy, h, out=self.hk)
         np.add(self.real, self.hk, out=self.real)
@@ -433,14 +435,20 @@ def curvature_vectors(nodes: np.ndarray, closed: bool, work: _FrontKernel | None
     return work.k
 
 
-def polyline_step(
-    front: PolylineFront,
-    sigma: float,
-    dt: float,
-    c_stab: float = 0.25,
-    theta_tol: float = 1e-8,
-    tangent_correction: bool = True,
-) -> PolylineFront:
+def _front_bound(min_seg: float, dt: float | None = None) -> float:
+    """The parabolic step bound ``C_STAB * min_seg^2`` of a front whose
+    shortest segment is ``min_seg``.  Raises `ResolutionError` when the
+    segment has collapsed and `StabilityError` when ``dt`` exceeds the
+    bound."""
+    if min_seg <= COLLAPSE_TOL:
+        raise ResolutionError("front segment collapsed")
+    bound = C_STAB * min_seg * min_seg
+    if dt is not None and dt > bound:
+        raise StabilityError(f"dt={dt:.3e} exceeds front bound {bound:.3e}")
+    return bound
+
+
+def polyline_step(front: PolylineFront, sigma: float, dt: float) -> PolylineFront:
     """One explicit front step: interior nodes move by the curvature
     vector, attached endpoints slide along y = 0 with speed
     sigma * T_x / T_y, T the tangent into the curve at the contact
@@ -448,24 +456,15 @@ def polyline_step(
     between the curve and the in-boundary normal of its endpoint set).
 
     Raises on tangential contact (T_y -> 0), on dt above the
-    c * (min segment)^2 parabolic bound, and on segment collapse.
+    C_STAB * (min segment)^2 parabolic bound, and on segment collapse.
     """
     if front.n_nodes() < 3:
         raise UsageError("front needs at least 3 nodes")
-    min_seg = front.min_segment()
-    if min_seg <= 1e-12:
-        raise ResolutionError("front segment collapsed")
-    if dt > c_stab * min_seg * min_seg:
-        raise StabilityError(
-            f"dt={dt:.3e} exceeds front bound {c_stab * min_seg**2:.3e}"
-        )
-    kernel = _FrontKernel(
-        front.nodes, front.closed, sigma, front.attached, theta_tol, tangent_correction
-    )
+    _front_bound(front.min_segment(), dt)
+    kernel = _FrontKernel(front.nodes, front.closed, sigma, front.attached)
     kernel.step(dt)
     out = kernel.front(front.target_fractions)
-    if out.min_segment() <= 1e-12:
-        raise ResolutionError("front segment collapsed")
+    _front_bound(out.min_segment())
     return out
 
 
@@ -519,27 +518,22 @@ def evolve_front(
     redistribute_every: int = 25,
     record_every: int = 100,
     check_simple_every: int = 2000,
-    c_stab: float = 0.25,
-    theta_tol: float = 1e-8,
-    tangent_correction: bool = True,
 ) -> FrontHistory:
     """Drive the front to ``t_end``, redistributing and recording on the
     given cadences.  ``dt=None`` adapts the step to the parabolic bound,
     re-evaluated at every redistribution as segments shrink, and raises
     `ResolutionError` once it falls below 1e-4 of the first block's step
     (without redistribution the nodes near a contact can bunch up until
-    t stalls).  Each step is the buffered kernel of `polyline_step`; the
-    stability and collapse checks run at the redistribution cadence
-    rather than per step."""
+    t stalls).  Each step is the buffered kernel of `polyline_step`, and
+    the stability and collapse checks are the ones `polyline_step` runs,
+    at the redistribution cadence rather than per step."""
     hist = FrontHistory(sigma=sigma, closed=front.closed, attached=front.attached)
     t = 0.0
     hist.append(t, front)
     if front.n_nodes() < 3:
         raise UsageError("front needs at least 3 nodes")
 
-    kernel = _FrontKernel(
-        front.nodes, front.closed, sigma, front.attached, theta_tol, tangent_correction
-    )
+    kernel = _FrontKernel(front.nodes, front.closed, sigma, front.attached)
     fractions = front.target_fractions
     block = max(1, redistribute_every)
     first_dt = None
@@ -547,23 +541,17 @@ def evolve_front(
     def block_dt() -> float:
         nonlocal first_dt
         min_seg = kernel.min_segment()
-        if min_seg <= 1e-12:
-            raise ResolutionError("front segment collapsed")
-        bound = c_stab * min_seg * min_seg
-        if dt is None:
-            # margin for segment shrinkage within the block
-            adaptive = 0.5 * bound
-            first_dt = first_dt or adaptive
-            if adaptive < _ADAPTIVE_DT_FLOOR * first_dt:
-                raise ResolutionError(
-                    f"adaptive front step fell below {_ADAPTIVE_DT_FLOOR:g} of its "
-                    f"first value at t={t:.6g} (shortest segment {min_seg:.3e})")
-            return adaptive
-        if dt > bound:
-            raise StabilityError(
-                f"dt={dt:.3e} exceeds front bound {bound:.3e}"
-            )
-        return dt
+        bound = _front_bound(min_seg, dt)
+        if dt is not None:
+            return dt
+        # margin for segment shrinkage within the block
+        adaptive = 0.5 * bound
+        first_dt = first_dt or adaptive
+        if adaptive < _ADAPTIVE_DT_FLOOR * first_dt:
+            raise ResolutionError(
+                f"adaptive front step fell below {_ADAPTIVE_DT_FLOOR:g} of its "
+                f"first value at t={t:.6g} (shortest segment {min_seg:.3e})")
+        return adaptive
 
     k = 0
     while t < t_end - 1e-15:

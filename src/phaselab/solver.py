@@ -586,6 +586,33 @@ class _StepKernel:
         return f"node ({i}, {j}) {where}"
 
 
+def _refuse_dt(state: PhaseState, dt: float) -> None:
+    """Refuse a dt that is not positive (NaN included), or one above the
+    stable bound of ``state``."""
+    if not dt > 0:
+        raise UsageError("dt must be positive")
+    bound = stable_dt(state)
+    if dt > bound * (1.0 + 1e-12):
+        raise StabilityError(f"dt={dt:.3e} exceeds the stable bound {bound:.3e}")
+
+
+def _stepped(
+    state: PhaseState, u: np.ndarray, out: np.ndarray, t: float, dt: float
+) -> PhaseState:
+    """The state after one step of ``dt`` from field ``u`` at time ``t`` to
+    the kernel's output ``out``; ``state`` gives the grid, eps, laws and
+    init_bounded.  The kernel reuses ``out``, so the new state keeps a copy."""
+    unew = out.copy()
+    return PhaseState(
+        u=ScalarField2D(state.grid, unew),
+        t=t + dt,
+        eps=state.eps,
+        laws=state.laws,
+        dudt=ScalarField2D(state.grid, (unew - u) / dt),
+        init_bounded=state.init_bounded,
+    )
+
+
 def step(state: PhaseState, dt: float) -> PhaseState:
     """One explicit Euler step.  Pure Jacobi-style update: the new state
     is a function of the previous one only.
@@ -593,25 +620,11 @@ def step(state: PhaseState, dt: float) -> PhaseState:
     Raises `StabilityError` when dt exceeds the stable bound and
     `DivergenceError` on NaN or a maximum-principle violation.
     """
-    if dt <= 0:
-        raise UsageError("dt must be positive")
-    bound = stable_dt(state)
-    if dt > bound * (1.0 + 1e-12):
-        raise StabilityError(f"dt={dt:.3e} exceeds the stable bound {bound:.3e}")
+    _refuse_dt(state, dt)
     kernel = _StepKernel(state)
-    u = state.u.values
-    out = kernel.advance(u, dt)
+    out = kernel.advance(state.u.values, dt)
     kernel.check(out, state.init_bounded, state.t)
-    unew = out.copy()
-    dudt = (unew - u) / dt
-    return PhaseState(
-        u=ScalarField2D(state.grid, unew),
-        t=state.t + dt,
-        eps=state.eps,
-        laws=state.laws,
-        dudt=ScalarField2D(state.grid, dudt),
-        init_bounded=state.init_bounded,
-    )
+    return _stepped(state, state.u.values, out, state.t, dt)
 
 
 def run(
@@ -625,7 +638,9 @@ def run(
     recording diagnostics every ``observer_cadence`` steps.
 
     The discrete energy must be nonincreasing between snapshots up to
-    ``1e-10 * max(E, 1)``; any rise beyond that aborts as divergence.
+    ``ENERGY_RISE_SLACK * max(E, 1)``; any rise beyond that aborts as
+    divergence.  dt is refused, and each snapshot's state is built, by the
+    helpers `step` uses.
     Returns a `RunRecord`.
     """
     from . import measures
@@ -641,16 +656,9 @@ def run(
         return record
 
     base_dt = stable_dt(state, safety) if dt is None else dt
-    if base_dt <= 0:
-        raise UsageError("dt must be positive")
-    bound = stable_dt(state)
-    if base_dt > bound * (1.0 + 1e-12):
-        raise StabilityError(
-            f"dt={base_dt:.3e} exceeds the stable bound {bound:.3e}"
-        )
+    _refuse_dt(state, base_dt)
 
     kernel = _StepKernel(state)
-    grid, eps, laws = kernel.grid, kernel.eps, kernel.laws
     init_bounded = state.init_bounded
     u = state.u.values
     t = state.t
@@ -663,28 +671,20 @@ def run(
         observing = k % observer_cadence == 0 or t + step_dt >= t_stop
         if observing:
             e_before = measures.energy(
-                PhaseState(ScalarField2D(grid, u), t, eps, laws)
+                PhaseState(ScalarField2D(state.grid, u), t, state.eps, state.laws)
             )
         unew = kernel.advance(u, step_dt)
         kernel.check(unew, init_bounded, t)
-        t += step_dt
         if observing:
-            # the work buffers are reused; the snapshot keeps a copy
-            after = PhaseState(
-                u=ScalarField2D(grid, unew.copy()),
-                t=t,
-                eps=eps,
-                laws=laws,
-                dudt=ScalarField2D(grid, (unew - u) / step_dt),
-                init_bounded=init_bounded,
-            )
+            after = _stepped(state, u, unew, t, step_dt)
             snap = measures.observe(after, e_before=e_before, dt=step_dt)
             rise = snap.scalars["E"] - prev_energy
             if rise > ENERGY_RISE_SLACK * max(prev_energy, 1.0):
                 raise DivergenceError(
-                    f"energy increased by {rise:.3e} at t={t:.6g}"
+                    f"energy increased by {rise:.3e} at t={after.t:.6g}"
                 )
             prev_energy = snap.scalars["E"]
             record.append(snap)
+        t += step_dt
         u = unew
     return record

@@ -613,6 +613,31 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subcommand_mode_is_checked_before_running(self, tmp_path, capsys):
+        # the subcommand's mode is checked, not the config's: a 1D run
+        # config is refused before the march
+        cfgf = tmp_path / "run.ini"
+        out = tmp_path / "o"
+        cfgf.write_text(MINIMAL_1D.format(out=out), "utf-8")
+        assert cli.main(["arc-benchmark", "--config", str(cfgf), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "arc-benchmark needs a 2D grid (grid.ny > 1)" in err
+        assert "arc-benchmark needs physics.bottom = dynamic" in err
+        assert not out.exists()
+        assert cli.main(["sweep-sigma", "--config", str(cfgf), "--quiet"]) == 2
+        assert "experiment.sigma_list required" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dt_above_stable_bound_exit_2_writes_nothing(self, tmp_path, capsys):
+        cfgf = tmp_path / "run.ini"
+        out = tmp_path / "o"
+        text = MINIMAL_1D.format(out=out).replace("t_end = 0.0002", "t_end = 0.0002\ndt = 1.0")
+        cfgf.write_text(text, "utf-8")
+        assert cli.main(["run", "--config", str(cfgf), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "error: dt=1.000e+00 exceeds the stable bound 2.500e-05" in err
+        assert not out.exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.ini"), "--quiet"]) == 2
 

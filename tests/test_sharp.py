@@ -143,12 +143,14 @@ class TestPolylineStep:
             polyline_step(f, 1.0, 1e-30)
 
     def test_right_angle_contact_stationary(self):
-        # vertical first segments: tan(theta) = inf, endpoint speed 0
+        # the first two chords at each end are vertical, so the corrected
+        # tangent is vertical too: tan(theta) = inf, endpoint speed 0
         nodes = np.array(
-            [[0.0, 0.0], [0.0, 0.5], [0.5, 0.9], [1.0, 0.5], [1.0, 0.0]]
+            [[0.0, 0.0], [0.0, 0.5], [0.0, 0.8], [0.5, 1.0], [1.0, 0.8], [1.0, 0.5],
+             [1.0, 0.0]]
         )
         f = PolylineFront(nodes, attached=True)
-        out = polyline_step(f, 3.0, 1e-6, tangent_correction=False)
+        out = polyline_step(f, 3.0, 1e-6)
         assert out.nodes[0, 0] == 0.0
         assert out.nodes[-1, 0] == 1.0
 

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaselab.errors import ConfigurationError, DivergenceError, StabilityError
+from phaselab.errors import (
+    ConfigurationError,
+    DivergenceError,
+    StabilityError,
+    UsageError,
+)
 from phaselab import solver
 from phaselab.grid import FACE_PRECEDENCE, Face, Grid2D, ScalarField2D
 from phaselab.solver import (
@@ -261,6 +266,20 @@ class TestRun:
         rec = run(st, 3.3e-5, observer_cadence=5)
         assert rec.times()[-1] == pytest.approx(3.3e-5)
         assert len(rec.snapshots) >= 3
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), 1.5])
+    def test_step_and_run_refuse_dt_alike(self, scale):
+        # scale 1.5 is above the bound; 0, -1 and NaN are not positive
+        st = tanh_state()
+        dt = scale * stable_dt(st)
+        with pytest.raises((UsageError, StabilityError)) as by_step:
+            step(st, dt)
+        with pytest.raises((UsageError, StabilityError)) as by_run:
+            run(st, 1e-3, dt=dt)
+        assert type(by_run.value) is type(by_step.value)
+        assert str(by_run.value) == str(by_step.value)
+        want = StabilityError if scale > 0 else UsageError
+        assert type(by_step.value) is want
 
 
 LAWS_1D = {
