@@ -235,6 +235,8 @@ def parse_config_text(text: str) -> RunConfig:
             problems.append(f"experiment.sigma_list entry must be positive: {val}")
     window_t1 = need("experiment", "window_t1", float, required=False)
     window_t2 = need("experiment", "window_t2", float, required=False)
+    if window_t1 is not None and window_t2 is not None and not window_t1 < window_t2:
+        problems.append("experiment.window_t1 must be below experiment.window_t2")
     raw_fields = need("experiment", "test_fields", str, default="", required=False)
     test_fields = tuple(s.strip() for s in raw_fields.split("|") if s.strip())
     for spec in test_fields:
@@ -243,7 +245,11 @@ def parse_config_text(text: str) -> RunConfig:
         except ConfigurationError as exc:
             problems.append(f"experiment.test_fields {exc}")
     oracle_nodes = need("experiment", "nodes", int, default=200, required=False)
+    if oracle_nodes is not None and oracle_nodes < 3:
+        problems.append("experiment.nodes must be >= 3")
     oracle_dt = need("experiment", "oracle_dt", float, required=False)
+    if oracle_dt is not None and not oracle_dt > 0:
+        problems.append("experiment.oracle_dt must be positive")
 
     out_dir = need("output", "dir", str, default="out", required=False)
     dump = need(

@@ -23,7 +23,7 @@ from ..solver import ENERGY_RISE_SLACK, MAX_PRINCIPLE_SLACK, run
 from ..varifold import boundary_functional
 from .catalog import DEFAULT_SWEEP_FIELDS, vector_field_from_spec
 from .config import RunConfig, build_state, child_configs, serialize
-from .extract import InterfaceExtract, extract_interface
+from .extract import extract_interface, fit_circle
 
 
 def run_single(config: RunConfig) -> RunRecord:
@@ -35,7 +35,6 @@ def run_single(config: RunConfig) -> RunRecord:
         dt=config.schedule.dt,
         safety=config.schedule.safety,
     )
-    record.config_echo = config.source_text or serialize(config)
     record.meta = {
         "mode": config.experiment.mode,
         "eps": config.physics.eps,
@@ -55,7 +54,7 @@ def write_run_outputs(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.echo").write_text(
-        record.config_echo or serialize(config), encoding="utf-8"
+        config.source_text or serialize(config), encoding="utf-8"
     )
     record.write_series_csv(out / "series.csv")
 
@@ -66,7 +65,7 @@ def write_run_outputs(
         lines = ["t,polyline,x,y"]
         for p, poly in enumerate(ext.polylines):
             for xp, yp in poly:
-                lines.append(f"{snap.t!r},{p},{float(xp)!r},{float(yp)!r}")
+                lines.append(f"{snap.state.t!r},{p},{float(xp)!r},{float(yp)!r}")
         (iface_dir / f"{k:04d}.csv").write_text("\n".join(lines) + "\n", "utf-8")
 
     if config.output.dump_fields:
@@ -97,10 +96,7 @@ def _oracle_run(config: RunConfig, sigma: float):
     return hist, sharp.compare_to_exact(hist, sigma)
 
 
-def _contact_pair(ext: InterfaceExtract, y_cut: float) -> tuple[float, float] | None:
-    pts = ext.all_points()
-    if pts.shape[0] == 0:
-        return None
+def _contact_pair(pts: np.ndarray, y_cut: float) -> tuple[float, float] | None:
     near = pts[pts[:, 1] < y_cut]
     if near.shape[0] < 2:
         return None
@@ -148,10 +144,10 @@ def arc_benchmark(config: RunConfig) -> tuple[RunRecord, dict]:
     for k, snap in enumerate(record.snapshots):
         sol = sharp.arc_exact(sigma, float(times[k]))
         radius_exact[k] = sol.r
-        ext = extract_interface(snap.state.u, fit=True)
-        if ext.circle is not None:
-            radius_fit[k] = ext.circle[2]
-        pair = _contact_pair(ext, y_cut)
+        pts = extract_interface(snap.state.u).all_points()
+        if pts.shape[0] >= 3:
+            radius_fit[k] = fit_circle(pts)[2]
+        pair = _contact_pair(pts, y_cut)
         if pair is not None:
             contact_left[k], contact_right[k] = pair
         if sol.contacts_exist:
@@ -264,11 +260,13 @@ def sweep_report(
     for value, rec in results:
         row = {
             "value": value,
-            "xi_window": measures.discrepancy_window(rec, t1, t2),
-            "alpha_window": measures.alpha_window(rec, t1, t2),
-            "boundary_energy_window": measures.boundary_energy_window(rec, t1, t2),
-            "normal_dirichlet_window": measures.normal_dirichlet_energy_window(
-                rec, t1, t2
+            "xi_window": measures.window_integral(rec, "xi_abs", t1, t2),
+            "alpha_window": measures.window_integral(rec, "alpha_total", t1, t2),
+            "boundary_energy_window": measures.window_integral(
+                rec, "boundary_energy", t1, t2
+            ),
+            "normal_dirichlet_window": measures.window_integral(
+                rec, "normal_dirichlet_energy", t1, t2
             ),
         }
         for spec, fld in zip(specs, fields):

@@ -20,11 +20,9 @@ from ..grid import ScalarField2D
 
 @dataclass
 class InterfaceExtract:
-    """Zero-level polylines (each an (n, 2) array) and an optional fitted
-    circle (cx, cy, radius)."""
+    """Zero-level polylines, each an (n, 2) array."""
 
     polylines: list[np.ndarray]
-    circle: tuple[float, float, float] | None = None
 
     @property
     def empty(self) -> bool:
@@ -65,16 +63,14 @@ _CASES: dict[int, tuple[tuple[int, int], ...]] = {
 }
 
 
-def extract_interface(f: ScalarField2D, fit: bool = False) -> InterfaceExtract:
+def extract_interface(f: ScalarField2D) -> InterfaceExtract:
     """Marching squares on the zero level of f.
 
     No sign change anywhere yields an empty extract (not an error).
-    With ``fit=True`` a least-squares circle is attached when at least
-    three points exist.
     """
     g = f.grid
     if g.is_1d:
-        return _extract_1d(f, fit)
+        return _extract_1d(f)
     u = f.values
     x = g.x()
     y = g.y()
@@ -143,16 +139,10 @@ def extract_interface(f: ScalarField2D, fit: bool = False) -> InterfaceExtract:
             points[kb] = pb
             segments.append((ka, kb))
 
-    polylines = _chain(segments, points)
-    circle = None
-    if fit:
-        pts = np.vstack(polylines) if polylines else np.zeros((0, 2))
-        if pts.shape[0] >= 3:
-            circle = fit_circle(pts)
-    return InterfaceExtract(polylines=polylines, circle=circle)
+    return InterfaceExtract(polylines=_chain(segments, points))
 
 
-def _extract_1d(f: ScalarField2D, fit: bool) -> InterfaceExtract:
+def _extract_1d(f: ScalarField2D) -> InterfaceExtract:
     u = f.values[:, 0]
     x = f.grid.x()
     pos = u >= 0
@@ -160,7 +150,7 @@ def _extract_1d(f: ScalarField2D, fit: bool) -> InterfaceExtract:
     for i in np.nonzero(pos[:-1] != pos[1:])[0]:
         t = u[i] / (u[i] - u[i + 1])
         out.append(np.array([[x[i] + t * (x[i + 1] - x[i]), 0.0]]))
-    return InterfaceExtract(polylines=out, circle=None)
+    return InterfaceExtract(polylines=out)
 
 
 def _chain(segments, points) -> list[np.ndarray]:

@@ -19,12 +19,19 @@ both the raw total and the normalized one are reported.  Velocities are
 zeroed where the relevant gradient magnitude is at or below the floor
 ``1e-12 / eps`` to avoid 0/0 amplification in flat regions.
 
+`observe` is the one observation of a state: it computes the
+`SERIES_COLUMNS` scalars and the per-face traces and returns the
+`Snapshot`.  The bulk normal velocity is built only on request, by
+`normal_velocity`; `window_integral` integrates one series column of a
+record over a time window.
+
 Each formula has one home.  `_densities` evaluates the gradient, its
 square, the gradient-floor mask and both densities of a state for
-`energy`, `diagnostics` and all of `varifold`; `_face_dissipation` is
-the dynamic-face dissipation ``sum w (eps/sigma) d^2`` of `diagnostics`
-and the Brakke check; `observe` alone forms the energy-balance defect.
-Both helpers are private, so they add no span to a traced run.
+`energy`, `observe`, `normal_velocity` and all of `varifold`;
+`_face_dissipation` is the dynamic-face dissipation
+``sum w (eps/sigma) d^2`` of `observe` and the Brakke check; `observe`
+alone forms the energy-balance defect.  Both helpers are private, so
+they add no span to a traced run.
 """
 
 from __future__ import annotations
@@ -44,10 +51,10 @@ from .grid import (
     gradient,
     integrate_values,
 )
-from .solver import ENERGY_RISE_SLACK, Dynamic, PhaseState, double_well
+from .solver import Dynamic, PhaseState, double_well
 
 if TYPE_CHECKING:
-    from .record import RunRecord, Snapshot
+    from .record import RunRecord
 
 SIGMA0 = 4.0 / 3.0
 
@@ -57,12 +64,27 @@ def gradient_floor(eps: float) -> float:
     return 1e-12 / eps
 
 
+SERIES_COLUMNS = (
+    "t",
+    "E",
+    "E_over_sigma0",
+    "mu_total",
+    "xi_abs",
+    "alpha_total",
+    "max_abs_u",
+    "dissipation_residual",
+    "boundary_energy",
+    "normal_dirichlet_energy",
+    "diss_interior",
+    "diss_boundary",
+)
+
+
 @dataclass
 class FaceDiagnostics:
     """Per-face boundary traces at one instant; their quadrature weights
     are ``grid.face_weights(face)``."""
 
-    face: Face
     alpha: np.ndarray            # eps * (tangential derivative)^2
     tangential: np.ndarray
     normal: np.ndarray           # outward normal derivative
@@ -73,22 +95,13 @@ class FaceDiagnostics:
 
 
 @dataclass
-class DiffuseDiagnostics:
-    """Every nodal density/velocity plus their integrals at one instant."""
+class Snapshot:
+    """One observed instant: the full state, its `SERIES_COLUMNS`
+    scalars and its boundary traces per active face."""
 
-    mu_density: ScalarField2D
-    xi_density: ScalarField2D
-    v_field: VectorField2D | None
+    state: PhaseState
+    scalars: dict[str, float]
     faces: dict[Face, FaceDiagnostics]
-    E_total: float               # also the mass of the mu density
-    xi_abs_total: float
-    alpha_total: float
-    E_over_sigma0: float
-    max_abs_u: float
-    boundary_energy: float
-    normal_dirichlet_energy: float
-    diss_interior: float
-    diss_boundary: float
 
 
 @dataclass
@@ -129,27 +142,23 @@ def energy(state: PhaseState) -> float:
     return integrate_values(state.grid, _densities(state).mu)
 
 
-def diagnostics(state: PhaseState) -> DiffuseDiagnostics:
-    """All densities/velocities of the snapshot.  Velocity fields are
-    reported as absent when no step has populated ``dudt`` yet."""
+def observe(
+    state: PhaseState, e_before: float | None = None, dt: float | None = None
+) -> Snapshot:
+    """The snapshot of a state.  Rates (dissipation, boundary velocities)
+    are NaN or absent when no step has populated ``dudt`` yet; when the
+    pre-step energy and the step are supplied the per-step dissipation
+    residual is attached."""
     g = state.grid
     eps = state.eps
     dens = _densities(state)
-    grad, mask = dens.grad, dens.mask
     e_total = integrate_values(g, dens.mu)
     xi_abs = integrate_values(g, np.abs(dens.xi))
     floor = gradient_floor(eps)
 
-    v_field = None
     diss_interior = float("nan")
     if state.dudt is not None:
         dudt = state.dudt.values
-        denom = np.where(mask, dens.g2, 1.0)
-        v_field = VectorField2D(
-            g,
-            np.where(mask, -dudt * grad.vx / denom, 0.0),
-            np.where(mask, -dudt * grad.vy / denom, 0.0),
-        )
         diss_interior = integrate_values(g, eps * dudt * dudt)
 
     faces: dict[Face, FaceDiagnostics] = {}
@@ -158,7 +167,7 @@ def diagnostics(state: PhaseState) -> DiffuseDiagnostics:
     normal_energy = 0.0
     diss_boundary = 0.0 if state.dudt is not None else float("nan")
     for face in g.active_faces():
-        tau, dnu = face_gradient(grad, face)
+        tau, dnu = face_gradient(dens.grad, face)
         wts = g.face_weights(face)
         bmag = np.hypot(tau, dnu)
         bmask = bmag > floor
@@ -180,7 +189,6 @@ def diagnostics(state: PhaseState) -> DiffuseDiagnostics:
                 diss_boundary += _face_dissipation(wts, eps, law.sigma, dudt_tr)
 
         faces[face] = FaceDiagnostics(
-            face=face,
             alpha=alpha,
             tangential=tau,
             normal=dnu,
@@ -196,49 +204,43 @@ def diagnostics(state: PhaseState) -> DiffuseDiagnostics:
         boundary_energy += float(np.sum(wts * e_dens))
         normal_energy += float(np.sum(wts * (eps * dnu * dnu)))
 
-    return DiffuseDiagnostics(
-        mu_density=ScalarField2D(g, dens.mu),
-        xi_density=ScalarField2D(g, dens.xi),
-        v_field=v_field,
-        faces=faces,
-        E_total=e_total,
-        xi_abs_total=xi_abs,
-        alpha_total=alpha_total,
-        E_over_sigma0=e_total / SIGMA0,
-        max_abs_u=state.u.max_abs(),
-        boundary_energy=boundary_energy,
-        normal_dirichlet_energy=normal_energy,
-        diss_interior=diss_interior,
-        diss_boundary=diss_boundary,
-    )
-
-
-def observe(state: PhaseState, e_before: float | None = None, dt: float | None = None):
-    """Build a record snapshot; when the pre-step energy is supplied the
-    per-step dissipation residual is attached."""
-    from .record import Snapshot
-
-    diag = diagnostics(state)
     residual = float("nan")
     if e_before is not None and dt is not None and state.dudt is not None:
         residual = (
-            (diag.E_total - e_before) / dt + diag.diss_interior + diag.diss_boundary
+            (e_total - e_before) / dt + diss_interior + diss_boundary
         ) / max(e_before, 1.0)
     scalars = {
         "t": state.t,
-        "E": diag.E_total,
-        "E_over_sigma0": diag.E_over_sigma0,
-        "mu_total": diag.E_total,
-        "xi_abs": diag.xi_abs_total,
-        "alpha_total": diag.alpha_total,
-        "max_abs_u": diag.max_abs_u,
+        "E": e_total,
+        "E_over_sigma0": e_total / SIGMA0,
+        "mu_total": e_total,
+        "xi_abs": xi_abs,
+        "alpha_total": alpha_total,
+        "max_abs_u": state.u.max_abs(),
         "dissipation_residual": residual,
-        "boundary_energy": diag.boundary_energy,
-        "normal_dirichlet_energy": diag.normal_dirichlet_energy,
-        "diss_interior": diag.diss_interior,
-        "diss_boundary": diag.diss_boundary,
+        "boundary_energy": boundary_energy,
+        "normal_dirichlet_energy": normal_energy,
+        "diss_interior": diss_interior,
+        "diss_boundary": diss_boundary,
     }
-    return Snapshot(t=state.t, state=state, scalars=scalars, faces=diag.faces)
+    return Snapshot(state=state, scalars=scalars, faces=faces)
+
+
+def normal_velocity(state: PhaseState) -> VectorField2D | None:
+    """The bulk normal velocity ``-du/dt * grad u / |grad u|^2``, zero
+    where |grad u| is at or below the gradient floor; None when no step
+    has populated ``dudt`` yet."""
+    if state.dudt is None:
+        return None
+    dens = _densities(state)
+    grad, mask = dens.grad, dens.mask
+    dudt = state.dudt.values
+    denom = np.where(mask, dens.g2, 1.0)
+    return VectorField2D(
+        state.grid,
+        np.where(mask, -dudt * grad.vx / denom, 0.0),
+        np.where(mask, -dudt * grad.vy / denom, 0.0),
+    )
 
 
 def dissipation_residual(
@@ -285,36 +287,17 @@ def time_trapezoid(times: np.ndarray, values: np.ndarray) -> float:
     return float(_trapz(values, times))
 
 
-def _window_trapezoid(record: "RunRecord", column: str, t1: float, t2: float) -> float:
+def window_integral(record: "RunRecord", column: str, t1: float, t2: float) -> float:
+    """Snapshot trapezoid over [t1, t2] of one series column, e.g. the
+    boundary energy, the normal Dirichlet energy (which blows up like
+    1/sigma toward the frozen-trace limit), |xi| (reported, never assumed
+    small) or the boundary area density."""
     idx = window_indices(record, t1, t2)
     times = record.times()[idx]
     vals = record.series(column)[idx]
     if np.any(np.isnan(vals)):
         raise UsageError(f"column {column} undefined inside the window")
     return time_trapezoid(times, vals)
-
-
-def boundary_energy_window(record: "RunRecord", t1: float, t2: float) -> float:
-    """Time integral over [t1, t2] of the boundary energy
-    int_faces (eps*|tangential grad|^2/2 + W/eps)."""
-    return _window_trapezoid(record, "boundary_energy", t1, t2)
-
-
-def normal_dirichlet_energy_window(record: "RunRecord", t1: float, t2: float) -> float:
-    """Time integral of int_faces eps*(normal derivative)^2 (the quantity
-    that blows up like 1/sigma toward the frozen-trace limit)."""
-    return _window_trapezoid(record, "normal_dirichlet_energy", t1, t2)
-
-
-def discrepancy_window(record: "RunRecord", t1: float, t2: float) -> float:
-    """Time integral of int |discrepancy density|; reported, never assumed
-    small."""
-    return _window_trapezoid(record, "xi_abs", t1, t2)
-
-
-def alpha_window(record: "RunRecord", t1: float, t2: float) -> float:
-    """Space-time mass of the boundary area density over the window."""
-    return _window_trapezoid(record, "alpha_total", t1, t2)
 
 
 def dissipation_window(record: "RunRecord", t1: float, t2: float) -> float:
@@ -378,35 +361,3 @@ def poincare_wirtinger_ratio(
     if den <= tiny:
         return 0.0 if num <= 1e-14 * max(total, 1.0) else float("inf")
     return num / den
-
-
-@dataclass
-class AprioriReport:
-    """Monitored a priori bounds over a whole record."""
-
-    D0: float
-    times: np.ndarray
-    energy_series: np.ndarray
-    dissipation_residual_series: np.ndarray
-    normal_dirichlet_energy_series: np.ndarray
-    boundary_energy_integral: float
-    max_energy_excess: float
-
-    @property
-    def energy_bounded_by_initial(self) -> bool:
-        return self.max_energy_excess <= ENERGY_RISE_SLACK * max(self.D0, 1.0)
-
-
-def apriori_report(record: "RunRecord") -> AprioriReport:
-    times = record.times()
-    e = record.series("E")
-    d0 = float(e[0])
-    return AprioriReport(
-        D0=d0,
-        times=times,
-        energy_series=e,
-        dissipation_residual_series=record.series("dissipation_residual"),
-        normal_dirichlet_energy_series=record.series("normal_dirichlet_energy"),
-        boundary_energy_integral=time_trapezoid(times, record.series("boundary_energy")),
-        max_energy_excess=float(np.max(e - d0)),
-    )

@@ -1,5 +1,10 @@
 """Persisted time series of a run: snapshots, scalar series, CSV/JSON.
 
+A `RunRecord` holds the `measures.Snapshot`s that `measures.observe`
+builds and reads its series by the `measures.SERIES_COLUMNS` names;
+`measures.window_integral` integrates one of them over a time window.
+No bulk velocity field is kept: `measures.normal_velocity` builds it
+from a snapshot's state on request.
 CSV numbers use ``repr`` (shortest round-trip float form), so identical
 configs produce byte-identical files; nothing wall-clock dependent is
 written.
@@ -14,35 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UsageError
-from .grid import Face
-from .measures import FaceDiagnostics
+from .measures import SERIES_COLUMNS, Snapshot, observe
 from .solver import PhaseState
-
-SERIES_COLUMNS = (
-    "t",
-    "E",
-    "E_over_sigma0",
-    "mu_total",
-    "xi_abs",
-    "alpha_total",
-    "max_abs_u",
-    "dissipation_residual",
-    "boundary_energy",
-    "normal_dirichlet_energy",
-    "diss_interior",
-    "diss_boundary",
-)
-
-
-@dataclass
-class Snapshot:
-    """One observed instant: the full state plus diagnostic integrals and
-    boundary traces."""
-
-    t: float
-    state: PhaseState
-    scalars: dict[str, float]
-    faces: dict[Face, FaceDiagnostics]
 
 
 @dataclass
@@ -50,24 +28,21 @@ class RunRecord:
     """Snapshots of a single run with strictly increasing times."""
 
     snapshots: list[Snapshot] = field(default_factory=list)
-    config_echo: str | None = None
     meta: dict = field(default_factory=dict)
 
     @classmethod
     def start(cls, state: PhaseState) -> "RunRecord":
-        from . import measures
-
         rec = cls()
-        rec.append(measures.observe(state))
+        rec.append(observe(state))
         return rec
 
     def append(self, snap: Snapshot) -> None:
-        if self.snapshots and snap.t <= self.snapshots[-1].t:
+        if self.snapshots and snap.state.t <= self.snapshots[-1].state.t:
             raise UsageError("snapshot times must be strictly increasing")
         self.snapshots.append(snap)
 
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
+        return np.array([s.state.t for s in self.snapshots])
 
     def series(self, column: str) -> np.ndarray:
         if column not in SERIES_COLUMNS:

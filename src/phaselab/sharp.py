@@ -28,9 +28,10 @@ that formula's order, so fronts are bit-identical to it; a step in which
 some triple is collinear or degenerate runs the masked formula itself.
 
 The tolerances are fixed constants, not settings: the step bound
-dt <= C_STAB * (shortest segment)^2 and the collapse length COLLAPSE_TOL,
-both checked by `_front_bound`; THETA_TOL, below which T_y of the unit
-contact tangent is tangential; and GRADE_RATIO of `make_arc_front`.
+0 < dt <= C_STAB * (shortest segment)^2 and the collapse length
+COLLAPSE_TOL, both checked by `_front_bound`; THETA_TOL, below which T_y
+of the unit contact tangent is tangential; and GRADE_RATIO of
+`make_arc_front`.
 """
 
 from __future__ import annotations
@@ -437,9 +438,11 @@ def curvature_vectors(nodes: np.ndarray, closed: bool, work: _FrontKernel | None
 
 def _front_bound(min_seg: float, dt: float | None = None) -> float:
     """The parabolic step bound ``C_STAB * min_seg^2`` of a front whose
-    shortest segment is ``min_seg``.  Raises `ResolutionError` when the
-    segment has collapsed and `StabilityError` when ``dt`` exceeds the
-    bound."""
+    shortest segment is ``min_seg``.  Raises `UsageError` when ``dt`` is
+    not positive (NaN included), `ResolutionError` when the segment has
+    collapsed and `StabilityError` when ``dt`` exceeds the bound."""
+    if dt is not None and not dt > 0:
+        raise UsageError("dt must be positive")
     if min_seg <= COLLAPSE_TOL:
         raise ResolutionError("front segment collapsed")
     bound = C_STAB * min_seg * min_seg
@@ -455,8 +458,9 @@ def polyline_step(front: PolylineFront, sigma: float, dt: float) -> PolylineFron
     (sigma/tan(theta) toward the contact's leaning side, theta the angle
     between the curve and the in-boundary normal of its endpoint set).
 
-    Raises on tangential contact (T_y -> 0), on dt above the
-    C_STAB * (min segment)^2 parabolic bound, and on segment collapse.
+    Raises on tangential contact (T_y -> 0), on a dt that is not
+    positive or above the C_STAB * (min segment)^2 parabolic bound, and on
+    segment collapse.
     """
     if front.n_nodes() < 3:
         raise UsageError("front needs at least 3 nodes")

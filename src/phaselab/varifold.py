@@ -567,7 +567,7 @@ def brakke_residual(
     phi_vals = phi.value(xx, yy)
     px, py = phi.grad(xx, yy)
 
-    times = np.array([s.t for s in snaps])
+    times = np.array([s.state.t for s in snaps])
     integrand = np.empty(len(snaps))
     lhs_first = lhs_last = 0.0
     for k, s in enumerate(snaps):
@@ -585,7 +585,7 @@ def brakke_residual(
             grid,
             -(1.0 / eps) * phi_vals * f * f + f * (px * grad.vx + py * grad.vy),
         )
-        transport = integrate_values(grid, phi.dt(xx, yy, s.t) * mu)
+        transport = integrate_values(grid, phi.dt(xx, yy, s.state.t) * mu)
         boundary = 0.0
         for face, sigma in s.state.dynamic_faces():
             c = grid.face_coords(face)

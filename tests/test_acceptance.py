@@ -116,19 +116,19 @@ def test_c01_standing_wave_stationarity(standing_wave):
     final = record.snapshots[-1]
     ext = extract_interface(final.state.u)
     drift = abs(ext.polylines[0][0, 0] - 0.5)
-    d = M.diagnostics(final.state)
+    sc = final.scalars
     h = 1.0 / 1000.0
     ok = (
         drift <= h
-        and d.xi_abs_total <= 1e-3 * d.E_total
-        and 0.99 <= d.E_over_sigma0 <= 1.01
+        and sc["xi_abs"] <= 1e-3 * sc["E"]
+        and 0.99 <= sc["E_over_sigma0"] <= 1.01
         and wall <= 10.0
     )
     report(
         "criterion 1",
         ok,
-        f"drift={drift:.2e} (h={h}), xi/E={d.xi_abs_total/d.E_total:.2e}, "
-        f"E/sigma0={d.E_over_sigma0:.5f}, runtime={wall:.1f}s <= 10s",
+        f"drift={drift:.2e} (h={h}), xi/E={sc['xi_abs']/sc['E']:.2e}, "
+        f"E/sigma0={sc['E_over_sigma0']:.5f}, runtime={wall:.1f}s <= 10s",
     )
 
 
@@ -375,7 +375,7 @@ def test_c11_phase_boundary_indicator(arc512, detach_record):
         gaps.append(second - first)
     strictly_below = all(gap > 0.05 for gap in gaps)
 
-    alpha_mass = M.alpha_window(record, 0.1, 0.2)
+    alpha_mass = M.window_integral(record, "alpha_total", 0.1, 0.2)
 
     # after detachment the indicator converges toward (2/3)|face|
     mid_first, threshold = M.boundary_phase_indicator(

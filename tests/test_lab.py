@@ -190,6 +190,32 @@ class TestConfigParsing:
             parse_config_text(text.replace(old, new))
         assert f"{path} non-finite value {raw!r}" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "experiment, message",
+        [
+            ("nodes = 2", "experiment.nodes must be >= 3"),
+            ("nodes = 1", "experiment.nodes must be >= 3"),
+            ("oracle_dt = 0", "experiment.oracle_dt must be positive"),
+            ("oracle_dt = -1e-06", "experiment.oracle_dt must be positive"),
+            (
+                "window_t1 = 0.2\nwindow_t2 = 0.1",
+                "experiment.window_t1 must be below experiment.window_t2",
+            ),
+            (
+                "window_t1 = 0.1\nwindow_t2 = 0.1",
+                "experiment.window_t1 must be below experiment.window_t2",
+            ),
+        ],
+    )
+    def test_oracle_and_window_values_refused_with_path(
+        self, tmp_path, experiment, message
+    ):
+        text = MINIMAL_1D.format(out=tmp_path).replace(
+            "[output]", f"[experiment]\n{experiment}\n\n[output]"
+        )
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config_text(text)
+
     def test_percent_in_values_is_plain_text(self, tmp_path):
         out = tmp_path / "run%1%(nx)s%%"
         cfg = parse_config_text(MINIMAL_1D.format(out=out))
@@ -269,6 +295,11 @@ def run_configs(draw):
         ny=ny,
     )
     mode = draw(st.sampled_from(MODES))
+    window_t1 = draw(st.none() | _finite())
+    if window_t1 is None:
+        window_t2 = draw(st.none() | _finite())
+    else:
+        window_t2 = draw(st.none() | _positive.map(lambda d: window_t1 + d))
     names = [draw(st.sampled_from(LAW_NAMES)) for _ in Face]
     if mode == "arc-benchmark":
         if ny == 1:
@@ -303,11 +334,11 @@ def run_configs(draw):
             sigma_list=tuple(
                 draw(st.lists(_positive, min_size=mode == "sweep-sigma", max_size=4))
             ),
-            window_t1=draw(st.none() | _finite()),
-            window_t2=draw(st.none() | _finite()),
+            window_t1=window_t1,
+            window_t2=window_t2,
             test_fields=tuple(draw(st.lists(_specs, max_size=3))),
-            oracle_nodes=draw(st.integers(1, 10**5)),
-            oracle_dt=draw(st.none() | _finite()),
+            oracle_nodes=draw(st.integers(3, 10**5)),
+            oracle_dt=draw(st.none() | _positive),
         ),
         output=OutputConfig(dir=draw(_dirs), dump_fields=draw(st.booleans())),
     )
@@ -442,8 +473,7 @@ class TestExtraction:
     def test_circle_fit_on_arc_initial_data(self):
         g = Grid2D.from_extents(-1.0, 3.0, 0.0, 2.0, 257, 129)
         st = init_profile(g, CircleArc((1.0, -1.0), np.sqrt(2.0)), 0.02)
-        ext = extract_interface(st.u, fit=True)
-        cx, cy, r = ext.circle
+        cx, cy, r = fit_circle(extract_interface(st.u).all_points())
         assert abs(cx - 1.0) < 2 * 0.02
         assert abs(cy + 1.0) < 2 * 0.02
         assert abs(r - np.sqrt(2.0)) < 2 * 0.02
@@ -485,7 +515,7 @@ class TestRunOutputs:
             assert lines[0] == "t,polyline,x,y"
             rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
             expected = [
-                [snap.t, p, x, y]
+                [snap.state.t, p, x, y]
                 for p, poly in enumerate(extract_interface(snap.state.u).polylines)
                 for x, y in poly
             ]
@@ -636,6 +666,36 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfgf), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "error: dt=1.000e+00 exceeds the stable bound 2.500e-05" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, experiment, message",
+        [
+            (
+                "oracle",
+                "mode = oracle\noracle_dt = 0",
+                "experiment.oracle_dt must be positive",
+            ),
+            (
+                "arc-benchmark",
+                "mode = arc-benchmark\nnodes = 1",
+                "experiment.nodes must be >= 3",
+            ),
+            (
+                "arc-benchmark",
+                "mode = arc-benchmark\nwindow_t1 = 0.3\nwindow_t2 = 0.1",
+                "experiment.window_t1 must be below experiment.window_t2",
+            ),
+        ],
+    )
+    def test_oracle_and_window_values_exit_2_writes_nothing(
+        self, tmp_path, capsys, command, experiment, message
+    ):
+        cfgf = tmp_path / "arc.ini"
+        out = tmp_path / "o"
+        cfgf.write_text(ARC_2D.format(out=out).replace("mode = run", experiment), "utf-8")
+        assert cli.main([command, "--config", str(cfgf), "--quiet"]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_exit_2(self, tmp_path):

@@ -125,6 +125,12 @@ class TestPolylineStep:
         with pytest.raises(StabilityError):
             polyline_step(f, 1.0, 1.0)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-6, float("nan")])
+    def test_nonpositive_dt_refused(self, dt):
+        f = make_circle_front((0.0, 0.0), 0.5, 64)
+        with pytest.raises(UsageError, match="dt must be positive"):
+            polyline_step(f, 1.0, dt)
+
     def test_needs_three_nodes(self):
         f = PolylineFront(np.array([[0.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(UsageError):
@@ -198,6 +204,13 @@ class TestEvolution:
         front = make_arc_front(1.0, 200, grade_count=6)
         with pytest.raises(StabilityError):
             evolve_front(front, 1.0, 0.05, dt=1e-5)
+
+    def test_nan_dt_refused(self):
+        # the check polyline_step runs; a NaN step would make t NaN and
+        # end the march quietly
+        front = make_arc_front(1.0, 200, grade_count=6)
+        with pytest.raises(UsageError, match="dt must be positive"):
+            evolve_front(front, 1.0, 0.05, dt=float("nan"))
 
     def test_adaptive_dt_without_redistribution_refuses_to_stall(self):
         # the contact nodes bunch up and the adaptive step shrinks

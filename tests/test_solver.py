@@ -253,7 +253,7 @@ class TestRun:
         st = tanh_state()
         rec = run(st, st.t)
         assert len(rec.snapshots) == 1
-        assert rec.snapshots[0].t == st.t
+        assert rec.snapshots[0].state.t == st.t
 
     def test_energy_monotone(self):
         st = tanh_state(nx=401)
@@ -346,7 +346,7 @@ class TestFaceLaws1D:
             stepped[s.t] = s
         assert len(rec.snapshots) == 1 + 61 // self.cadence + 1
         for snap in rec.snapshots[1:]:
-            ref = stepped[snap.t]
+            ref = stepped[snap.state.t]
             assert snap.state.u.values.tobytes() == ref.u.values.tobytes()
             assert snap.state.dudt.values.tobytes() == ref.dudt.values.tobytes()
 
@@ -368,7 +368,7 @@ class TestFaceLaws1D:
         a = run(st, t_end, observer_cadence=self.cadence)
         b = run(neg, t_end, observer_cadence=self.cadence)
         for sa, sb in zip(a.snapshots, b.snapshots):
-            assert sa.t == sb.t
+            assert sa.state.t == sb.state.t
             assert np.array_equal(sa.state.u.values, -sb.state.u.values)
         dt = stable_dt(st)
         for _ in range(25):
@@ -733,7 +733,7 @@ class TestKernel2D:
             stepped[s.t] = s
         assert len(rec.snapshots) == 1 + 21 // self.cadence + 1
         for snap in rec.snapshots[1:]:
-            ref = stepped[snap.t]
+            ref = stepped[snap.state.t]
             assert snap.state.u.values.tobytes() == ref.u.values.tobytes()
             assert snap.state.dudt.values.tobytes() == ref.dudt.values.tobytes()
 
@@ -744,7 +744,7 @@ class TestKernel2D:
         a = run(st, t_end, observer_cadence=self.cadence)
         b = run(neg, t_end, observer_cadence=self.cadence)
         for sa, sb in zip(a.snapshots, b.snapshots):
-            assert sa.t == sb.t
+            assert sa.state.t == sb.state.t
             assert np.array_equal(sa.state.u.values, -sb.state.u.values)
         dt = stable_dt(st)
         for _ in range(10):

@@ -309,7 +309,7 @@ class TestTangentialFirstVariation:
         # delta V^T + (1/sigma) * pairing vanishes up to the one-step skew
         # between the cached velocity and the current normal derivative:
         # an O(dt) residual that halves with dt
-        from phaselab.measures import diagnostics
+        from phaselab.measures import observe
         from phaselab.varifold import _pairing_instant
 
         sigma = 1.3
@@ -323,8 +323,8 @@ class TestTangentialFirstVariation:
                 g, CircleArc((1.0, -1.0), np.sqrt(2.0)), 0.08, laws=laws
             )
             st = step(st, stable_dt(st) * dt_frac)
-            d = diagnostics(st)
-            pairing = _pairing_instant(d.faces, st.grid, fld, (Face.BOTTOM,))
+            faces = observe(st).faces
+            pairing = _pairing_instant(faces, st.grid, fld, (Face.BOTTOM,))
             tv = tangential_first_variation(st, fld, faces=(Face.BOTTOM,))
             return abs(tv + pairing / sigma), max(abs(tv), abs(pairing))
 
